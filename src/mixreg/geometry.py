@@ -31,6 +31,7 @@ __all__ = [
     "direction_set",
     "separation_ratio",
     "orthonormal_complement_basis",
+    "orthonormal_complement_bases",
     "check_conditions",
 ]
 
@@ -161,6 +162,23 @@ def orthonormal_complement_basis(v: np.ndarray) -> np.ndarray:
     u[0] += sign  # stable choice: never cancels
     H = np.eye(d) - (2.0 / (u @ u)) * np.outer(u, u)
     return H[:, 1:]
+
+
+def orthonormal_complement_bases(vs: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`orthonormal_complement_basis`: ``(m, d) -> (m, d, d-1)``.
+
+    Entry ``[i]`` is the same Householder construction applied to row ``i``,
+    built for all rows at once.
+    """
+    vs = np.asarray(vs, dtype=float)
+    norms = np.linalg.norm(vs, axis=1)
+    if np.any(norms == 0.0):
+        raise DegenerateModelError("cannot build a complement basis for v = 0")
+    u = vs / norms[:, None]
+    u[:, 0] += np.where(u[:, 0] >= 0.0, 1.0, -1.0)  # stable choice: never cancels
+    coef = 2.0 / np.einsum("ij,ij->i", u, u)
+    d = vs.shape[1]
+    return np.eye(d)[:, 1:] - coef[:, None, None] * (u[:, :, None] * u[:, None, 1:])
 
 
 def _resolve_directions(dataset: Dataset, model: MixtureModel) -> np.ndarray:

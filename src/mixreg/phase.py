@@ -88,6 +88,7 @@ class TrialRecord:
     converged: bool
     failed: bool
     success: bool
+    error: str | None = None  # "<ErrorClass>: <message>" when failed
 
     def to_dict(self) -> dict:
         return {
@@ -97,6 +98,7 @@ class TrialRecord:
             "converged": self.converged,
             "failed": self.failed,
             "success": self.success,
+            "error": self.error,
         }
 
 
@@ -169,7 +171,7 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             failed=False,
             success=bool(err < cfg.success_tol),
         )
-    except MixregError:
+    except MixregError as exc:
         return TrialRecord(
             seed=seed,
             recovery_error=None,
@@ -177,6 +179,7 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             converged=False,
             failed=True,
             success=False,
+            error=f"{type(exc).__name__}: {exc}",
         )
 
 

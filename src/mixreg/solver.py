@@ -10,19 +10,32 @@ solved by alternating two steps from uniform initial weights:
    ``argmin sum_{i,j} w_ij ||z_i - z_j||^2  s.t.  a_i^T z_i = b_i``;
 2. the weight update ``w_ij = (||z_i - z_j||^2 + delta)^(-1/2)``.
 
-Each subproblem is solved exactly.  The primary route assembles the saddle
-point (KKT) system ``[[2 L (x) I_d, A^T], [A, 0]]`` with ``L`` the weighted
-graph Laplacian and factorizes it with a dense symmetric-indefinite solver.
-For larger instances an algebraically equivalent reduction is used: writing
-the stationarity condition as ``2 L Z = diag(lam) A_rows`` and eliminating
-``Z`` through the Laplacian pseudoinverse leaves an (m + d) system in the
-multipliers plus the free mean translation.  Both routes finish with one
-step of iterative refinement and an exact re-projection of every row onto
-its constraint hyperplane.
+Each subproblem is solved exactly, by one order of solves chosen only by
+what the solves observe:
+
+* **Reduced solve, always first.**  The stationarity condition
+  ``2 L Z = diag(lam) A_rows``, with ``L`` the weighted graph Laplacian, is
+  eliminated through the Laplacian pseudoinverse, leaving an (m + d)
+  symmetric-indefinite system in the multipliers plus the free mean
+  translation.  ``L^+`` comes from one Cholesky factor of
+  ``L + (s/m) 11^T``; the bordered system is factored by Bunch-Kaufman with
+  a condition-estimate floor and refined twice.
+* **Null-space fallback.**  When the reduced solve breaks down, or its
+  result misses the stationarity guard (fused points put weights near
+  ``delta**-0.5`` beside O(1) ones and ``L^+`` loses accuracy), each row is
+  written as ``z_i = z0_i + B_i y_i`` with ``B_i`` an orthonormal basis of
+  the complement of ``a_i``.  The positive definite ``m (d-1)`` system in
+  ``y`` is factored by Cholesky, checked against the same floor and refined
+  once (Nocedal & Wright, *Numerical Optimization*, §16.2).
+
+Both results are re-projected onto the constraint hyperplanes and must pass
+the KKT stationarity and feasibility guards; a null-space result that
+misses them raises :class:`NumericalError`.
 
 Degenerate subproblems (disconnected weight graph, or measurement vectors
 that do not span the full space) have multiple minimizers; the minimum-norm
-one is returned along with a :class:`NonUniqueSolutionWarning`.
+one, the least-squares solution of the same null-space system, is returned
+along with a :class:`NonUniqueSolutionWarning`.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from .errors import (
     NonUniqueSolutionWarning,
     NumericalError,
 )
-from .geometry import orthonormal_complement_basis
+from .geometry import orthonormal_complement_bases
 from .model import Dataset, EstimateField, recovery_error
 
 __all__ = [
@@ -53,8 +66,6 @@ __all__ = [
 
 # Condition-estimate floor: reciprocal condition numbers below this raise.
 RCOND_MIN = 1e-14
-# KKT dimension (m*d + m) above which the reduced route is preferred.
-DENSE_SIZE_LIMIT = 600
 
 
 @dataclass(frozen=True)
@@ -169,6 +180,8 @@ def smoothed_objective(Z, delta: float) -> float:
 
 def _connected(w: np.ndarray) -> bool:
     m = w.shape[0]
+    if np.count_nonzero(w) == m * (m - 1):  # complete, as every IRLS weight graph is
+        return True
     seen = np.zeros(m, dtype=bool)
     stack = [0]
     seen[0] = True
@@ -229,29 +242,27 @@ def _project_rows(z: np.ndarray, features: np.ndarray, responses: np.ndarray):
     return z - (gap / sq)[:, None] * features
 
 
-def _solve_dense_kkt(features, responses, L):
-    # The quadratic block is rescaled to unit magnitude so that the condition
-    # estimate reflects the geometry rather than the weight scale (weights
-    # reach delta**-0.5 once points coincide).  Rescaling the objective does
-    # not move the minimizer; only the multipliers change by the same factor.
-    m, d = features.shape
-    scale = max(1.0, float(np.abs(L).max()))
-    n = m * d + m
-    M = np.zeros((n, n))
-    M[: m * d, : m * d] = np.kron((2.0 / scale) * L, np.eye(d))
-    for i in range(m):
-        M[m * d + i, i * d : (i + 1) * d] = features[i]
-        M[i * d : (i + 1) * d, m * d + i] = features[i]
-    rhs = np.concatenate([np.zeros(m * d), responses])
-    x, resolve = _sym_solve(M, rhs)
-    x = x + resolve(rhs - M @ x)  # one refinement step
-    z = x[: m * d].reshape(m, d)
-    nu = x[m * d :] * scale
-    return z, nu
+def _laplacian_pinv(L: np.ndarray) -> np.ndarray:
+    """``L^+`` of a connected graph's Laplacian from one Cholesky factor.
+
+    ``K = L + (s/m) 11^T`` with ``s = trace(L)/m`` moves the nullspace
+    eigenvalue of ``L`` to ``s`` and keeps the rest, so
+    ``L^+ = K^-1 - 11^T / (s m)``.  A factorization breakdown raises.
+    """
+    m = L.shape[0]
+    s = np.trace(L) / m
+    c, info = lapack.dpotrf(L + s / m, lower=1)
+    if info != 0:
+        raise NumericalError(f"Laplacian Cholesky factorization failed (info={info})")
+    inv, info = lapack.dpotri(c, lower=1)  # lower triangle; dpotrf zeroed the upper
+    if info != 0:
+        raise NumericalError(f"Laplacian inverse failed (info={info})")
+    inv += np.tril(inv, -1).T
+    return inv - 1.0 / (s * m)
 
 
 def _solve_reduced_kkt(features, responses, L):
-    """Equivalent solve in (m + d) unknowns via the Laplacian pseudoinverse.
+    """Solve in (m + d) unknowns via the Laplacian pseudoinverse.
 
     With ``lam`` the stationarity multipliers (2 L Z = diag(lam) A_rows) and
     ``c`` the free translation along the Laplacian nullspace,
@@ -260,15 +271,10 @@ def _solve_reduced_kkt(features, responses, L):
 
     where ``G`` is the Gram matrix of the measurement vectors and ``o`` the
     elementwise product.  Refinement is run against the full KKT residual.
+    Returns ``(z, nu)`` with ``nu = -lam``.
     """
     m, d = features.shape
-    evals, evecs = np.linalg.eigh(L)
-    cutoff = max(evals.max(), 0.0) * 1e-12
-    keep = evals > cutoff
-    if int((~keep).sum()) != 1:
-        # unexpected numerical nullspace; defer to the dense route
-        return _solve_dense_kkt(features, responses, L)
-    Lp = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
+    Lp = _laplacian_pinv(L)
 
     gram = features @ features.T
     S = np.zeros((m + d, m + d))
@@ -293,33 +299,110 @@ def _solve_reduced_kkt(features, responses, L):
     return z, -lam
 
 
-def _solve_min_norm(features, responses, L, tol):
-    """Null-space solve returning the minimum-norm minimizer.
+def _null_space_system(features, responses, L):
+    """The subproblem in null-space coordinates ``z_i = z0_i + B_i y_i``.
 
-    Per-row translations are restricted to each constraint hyperplane, which
-    makes the problem unconstrained; the least-squares solve then picks the
-    minimum-norm stationary point.
+    ``z0_i`` is the point of hyperplane i closest to the origin and ``B_i``
+    an orthonormal basis of the complement of ``a_i``, so every ``y`` is
+    feasible and the objective ``2 tr(Z^T L Z)`` becomes
+    ``(1/2) y^T H y + g^T y + const`` with ``H = 4 [L_ij B_i^T B_j]`` and
+    ``g_i = 4 B_i^T (L z0)_i``.  Returns ``(z0, B, H, g)``; for d = 1 the
+    system is empty.
     """
     m, d = features.shape
+    nd = d - 1
     sq = np.einsum("ij,ij->i", features, features)
     z0 = (responses / sq)[:, None] * features
-    if d == 1:
+    B = orthonormal_complement_bases(features)
+    flat = B.transpose(1, 0, 2).reshape(d, m * nd)  # [B_1, ..., B_m]
+    H = flat.T @ flat
+    blocks = H.reshape(m, nd, m, nd)
+    blocks *= 4.0 * L[:, None, :, None]
+    g = 4.0 * np.einsum("ijk,ij->ik", B, L @ z0).ravel()
+    return z0, B, H, g
+
+
+def _from_null_space(z0, B, y):
+    return z0 + np.einsum("ijk,ik->ij", B, y.reshape(B.shape[0], B.shape[2]))
+
+
+def _solve_null_space(features, responses, L):
+    """Null-space solve of a unique subproblem (Nocedal & Wright, §16.2).
+
+    ``H`` is positive definite when the graph is connected and the
+    measurement vectors span the space; it is factored by Cholesky, checked
+    against ``RCOND_MIN`` and refined once.
+    """
+    z0, B, H, g = _null_space_system(features, responses, L)
+    if H.size == 0:  # d = 1: each constraint pins its row
         return z0
-    bases = [orthonormal_complement_basis(features[i]) for i in range(m)]
-    nd = d - 1
-    H = np.zeros((m * nd, m * nd))
-    for i in range(m):
-        for j in range(m):
-            if L[i, j] != 0.0:
-                H[i * nd : (i + 1) * nd, j * nd : (j + 1) * nd] = (
-                    4.0 * L[i, j] * (bases[i].T @ bases[j])
-                )
-    g = np.concatenate([4.0 * (bases[i].T @ (L[i] @ z0)) for i in range(m)])
+    c, info = lapack.dpotrf(H, lower=1)
+    if info != 0:
+        raise NumericalError(f"null-space Cholesky factorization failed (info={info})")
+    rcond, info = lapack.dpocon(c, np.linalg.norm(H, 1), uplo="L")
+    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
+        raise NumericalError(
+            f"null-space system too ill-conditioned (rcond estimate {rcond:.2e})"
+        )
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x, bad = lapack.dpotrs(c, r[:, None], lower=1)
+        if bad != 0:
+            raise NumericalError(f"Cholesky solve failed (info={bad})")
+        return x[:, 0]
+
+    y = solve(-g)
+    y = y + solve(-g - H @ y)  # one refinement step
+    return _from_null_space(z0, B, y)
+
+
+def _solve_min_norm(features, responses, L, tol):
+    """Minimum-norm minimizer of a non-unique subproblem.
+
+    The null-space system is singular here; its least-squares solve picks
+    the minimum-norm stationary point.
+    """
+    z0, B, H, g = _null_space_system(features, responses, L)
     y, *_ = np.linalg.lstsq(H, -g, rcond=None)
-    scale = max(1.0, np.abs(H).sum(axis=1).max() * np.abs(y).max(initial=0.0))
+    H_norm = np.abs(H).sum(axis=1).max(initial=0.0)
+    scale = max(1.0, H_norm * np.abs(y).max(initial=0.0))
     if float(np.max(np.abs(H @ y + g), initial=0.0)) > tol * scale:
         raise NumericalError("null-space normal equations are inconsistent")
-    z = z0 + np.stack([bases[i] @ y[i * nd : (i + 1) * nd] for i in range(m)])
+    return _from_null_space(z0, B, y)
+
+
+def _stationarity_defect(L, z, nu, features) -> float:
+    """Largest per-row residual of ``2 (L z)_i + nu_i a_i = 0``.
+
+    Backward-style check: the residual is compared per row against the
+    magnitude of the terms that produced it, which is the sharpest scale at
+    which it can be evaluated in floating point.
+    """
+    stat = 2.0 * (L @ z) + nu[:, None] * features
+    row_scale = np.maximum(
+        2.0 * (np.abs(L) @ np.linalg.norm(z, axis=1))
+        + np.abs(nu) * np.linalg.norm(features, axis=1),
+        1.0,
+    )
+    return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
+
+
+def _solve_unique(features, responses, L, tol):
+    """Reduced solve first; the null-space solve when it breaks down or its
+    projected result misses the stationarity guard."""
+    try:
+        z, nu = _solve_reduced_kkt(features, responses, L)
+    except NumericalError:
+        pass
+    else:
+        z = _project_rows(z, features, responses)
+        if _stationarity_defect(L, z, nu, features) <= tol:
+            return z
+    z = _project_rows(_solve_null_space(features, responses, L), features, responses)
+    sq = np.einsum("ij,ij->i", features, features)
+    nu = -np.einsum("ij,ij->i", features, 2.0 * (L @ z)) / sq
+    if _stationarity_defect(L, z, nu, features) > tol:
+        raise NumericalError("KKT stationarity residual above tolerance")
     return z
 
 
@@ -328,61 +411,34 @@ def weighted_ls_step(
     weights: WeightMatrix,
     *,
     subproblem_tol: float = 1e-10,
-    method: str = "auto",
 ) -> EstimateField:
     """Exact minimizer of the weighted quadratic under the row constraints.
 
-    ``method`` selects the KKT route: "auto" picks dense or reduced by
-    problem size; "dense" and "reduced" force one.  Non-unique subproblems
-    (disconnected weight graph or rank-deficient measurement span) return
-    the minimum-norm minimizer and emit :class:`NonUniqueSolutionWarning`.
+    Non-unique subproblems (disconnected weight graph or rank-deficient
+    measurement span) return the minimum-norm minimizer and emit
+    :class:`NonUniqueSolutionWarning`.
     """
     if weights.m != dataset.m:
         raise DataValidationError("weight matrix size does not match dataset")
-    if method not in ("auto", "dense", "reduced"):
-        raise DataValidationError(f"unknown method {method!r}")
     features = dataset.features
     responses = dataset.responses
     L = _laplacian(weights.w)
 
+    degenerate = None
     if not _connected(weights.w):
-        warnings.warn(
-            "weight graph is disconnected; returning the minimum-norm minimizer",
-            NonUniqueSolutionWarning,
-        )
-        z = _solve_min_norm(features, responses, L, subproblem_tol)
-        nu = None
+        degenerate = "weight graph is disconnected; returning the minimum-norm minimizer"
     elif not _features_span_full(features):
-        warnings.warn(
+        degenerate = (
             "measurement vectors do not span the full space; subproblem is "
-            "non-unique, returning the minimum-norm minimizer",
-            NonUniqueSolutionWarning,
+            "non-unique, returning the minimum-norm minimizer"
         )
-        z = _solve_min_norm(features, responses, L, subproblem_tol)
-        nu = None
+    if degenerate is None:
+        z = _solve_unique(features, responses, L, subproblem_tol)
     else:
-        kkt_dim = dataset.m * dataset.d + dataset.m
-        use_dense = method == "dense" or (method == "auto" and kkt_dim <= DENSE_SIZE_LIMIT)
-        if use_dense:
-            z, nu = _solve_dense_kkt(features, responses, L)
-        else:
-            z, nu = _solve_reduced_kkt(features, responses, L)
+        warnings.warn(degenerate, NonUniqueSolutionWarning)
+        z = _solve_min_norm(features, responses, L, subproblem_tol)
+        z = _project_rows(z, features, responses)
 
-    z = _project_rows(z, features, responses)
-
-    if nu is not None:
-        # Backward-style check: the residual is compared per row against the
-        # magnitude of the terms that produced it, which is the sharpest
-        # scale at which it can be evaluated in floating point.
-        stat = 2.0 * (L @ z) + nu[:, None] * features
-        row_scale = np.maximum(
-            2.0 * (np.abs(L) @ np.linalg.norm(z, axis=1))
-            + np.abs(nu) * np.linalg.norm(features, axis=1),
-            1.0,
-        )
-        rel = float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
-        if rel > subproblem_tol:
-            raise NumericalError("KKT stationarity residual above tolerance")
     gaps = np.abs(np.einsum("ij,ij->i", features, z) - responses)
     bounds = 1e-12 * (
         np.abs(responses)

@@ -12,6 +12,7 @@ from mixreg.geometry import (
     check_conditions,
     direction_between,
     direction_set,
+    orthonormal_complement_bases,
     orthonormal_complement_basis,
     separation_ratio,
     weighted_direction,
@@ -127,6 +128,19 @@ def test_complement_basis_edge_cases():
     assert orthonormal_complement_basis(np.array([3.0])).shape == (1, 0)
     with pytest.raises(DegenerateModelError):
         orthonormal_complement_basis(np.zeros(3))
+
+
+def test_complement_bases_match_rowwise():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 5):
+        vs = rng.standard_normal((7, d))
+        vs[0] = -np.abs(vs[0])  # both signs of the leading entry
+        Bs = orthonormal_complement_bases(vs)
+        assert Bs.shape == (7, d, d - 1)
+        for v, B in zip(vs, Bs):
+            assert np.allclose(B, orthonormal_complement_basis(v), rtol=0, atol=1e-15)
+    with pytest.raises(DegenerateModelError):
+        orthonormal_complement_bases(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_check_conditions_sim1(sim1_instance):

@@ -60,7 +60,7 @@ def test_small_grid_recovers():
     assert grid.fraction(3, 0.1) == 1.0
     recs = grid.records[0][0]
     assert len(recs) == 3
-    assert all(r.success and not r.failed for r in recs)
+    assert all(r.success and not r.failed and r.error is None for r in recs)
     assert all(r.recovery_error < 1e-5 for r in recs)
 
 
@@ -84,6 +84,10 @@ def test_solver_failure_recorded_not_raised(monkeypatch):
     grid = run_phase(_tiny_cfg())
     assert grid.fractions[0, 0] == 0.0
     assert all(r.failed and not r.success for r in grid.records[0][0])
+    assert all(
+        r.to_dict()["error"] == "NumericalError: forced failure"
+        for r in grid.records[0][0]
+    )
 
 
 def test_grid_outputs(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixreg.errors import (
     DataValidationError,
@@ -16,6 +18,10 @@ from mixreg.model import (
 from mixreg.solver import (
     SolverOptions,
     WeightMatrix,
+    _laplacian,
+    _project_rows,
+    _solve_reduced_kkt,
+    _stationarity_defect,
     irls_solve,
     smoothed_objective,
     update_weights,
@@ -118,22 +124,81 @@ def test_weighted_ls_step_two_orthogonal_lines():
     assert np.allclose(Z.z, np.ones((2, 2)), atol=1e-10)
 
 
-@pytest.mark.parametrize("method", ["dense", "reduced"])
-def test_weighted_ls_step_matches_generic_eqp(method):
+def _assert_matches_eqp(ds, w):
+    Z = weighted_ls_step(ds, w)
+    G, A = fusion_quadratic(ds.features, w.w)
+    expected = solve_eqp(G, A, ds.responses).reshape(ds.m, ds.d)
+    rel = np.linalg.norm(Z.z - expected) / (1.0 + np.linalg.norm(expected))
+    assert rel <= 1e-8
+    assert feasibility_residual(Z, ds) <= 1e-12 * max(
+        1.0, np.max(np.abs(ds.responses))
+    ) + 1e-12
+
+
+def test_weighted_ls_step_matches_generic_eqp():
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        m = int(rng.integers(4, 12))
-        d = int(rng.integers(2, 5))
-        ds = _random_instance(rng, m, d)
-        w = _random_weights(rng, m)
-        Z = weighted_ls_step(ds, w, method=method)
-        G, A = fusion_quadratic(ds.features, w.w)
-        expected = solve_eqp(G, A, ds.responses).reshape(m, d)
-        rel = np.linalg.norm(Z.z - expected) / (1.0 + np.linalg.norm(expected))
-        assert rel <= 1e-8
-        assert feasibility_residual(Z, ds) <= 1e-12 * max(
-            1.0, np.max(np.abs(ds.responses))
-        ) + 1e-12
+    sizes = [
+        (int(rng.integers(4, 12)), int(rng.integers(2, 5))) for _ in range(5)
+    ] + [(30, 4), (70, 9)]  # full KKT systems of 150 and 700 unknowns
+    for m, d in sizes:
+        _assert_matches_eqp(_random_instance(rng, m, d), _random_weights(rng, m))
+
+
+def _criterion7_instance(index):
+    """The index-th instance of acceptance criterion 7 (m in 2..6, d = 2)."""
+    rng = np.random.default_rng(77)
+    sizes = [2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6]
+    for m in sizes[: index + 1]:
+        angles = rng.uniform(0, np.pi, m)
+        feats = np.column_stack([np.cos(angles), np.sin(angles)])
+        resp = rng.uniform(-1.5, 1.5, m)
+    return Dataset(feats, resp)
+
+
+def test_weighted_ls_step_fused_points_fallback():
+    # subproblem 18 of criterion-7 instance 13: points have fused, so weights
+    # near 1e8 sit beside O(1) ones and the reduced solve alone misses the
+    # stationarity guard; the null-space solve must meet it
+    ds = _criterion7_instance(13)
+    Z, trace = irls_solve(ds, SolverOptions(stop_tol=1e-10, max_iter=17))
+    assert trace.iterations == 17
+    w = update_weights(Z, SolverOptions().delta)
+    assert w.w.max() > 1e7
+    L = _laplacian(w.w)
+    z, nu = _solve_reduced_kkt(ds.features, ds.responses, L)
+    z = _project_rows(z, ds.features, ds.responses)
+    assert _stationarity_defect(L, z, nu, ds.features) > SolverOptions().subproblem_tol
+    _assert_matches_eqp(ds, w)
+
+
+@st.composite
+def _instances(draw):
+    d = draw(st.integers(2, 6))
+    m = draw(st.integers(max(3, d), 40))  # m >= d: features span, minimizer unique
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.floats(1e-3, 1e3))
+    return m, d, seed, scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(_instances())
+def test_weighted_ls_step_permutation_and_weight_scale_invariance(instance):
+    m, d, seed, scale = instance
+    rng = np.random.default_rng(seed)
+    ds = _random_instance(rng, m, d)
+    w = _random_weights(rng, m)
+    Z = weighted_ls_step(ds, w).z
+    tol = 1e-9 * (1.0 + np.linalg.norm(Z))
+
+    perm = rng.permutation(m)
+    permuted = weighted_ls_step(
+        Dataset(ds.features[perm], ds.responses[perm]),
+        WeightMatrix(w.w[np.ix_(perm, perm)]),
+    ).z
+    assert np.linalg.norm(permuted - Z[perm]) <= tol
+
+    scaled = weighted_ls_step(ds, WeightMatrix(scale * w.w)).z
+    assert np.linalg.norm(scaled - Z) <= tol
 
 
 def test_weighted_ls_step_disconnected_graph_min_norm():
@@ -168,8 +233,6 @@ def test_weighted_ls_step_shape_checks(sim1_instance):
     dataset, _ = sim1_instance
     with pytest.raises(DataValidationError):
         weighted_ls_step(dataset, WeightMatrix.uniform(3))
-    with pytest.raises(DataValidationError):
-        weighted_ls_step(dataset, WeightMatrix.uniform(48), method="qr")
 
 
 def test_irls_recovers_separated_instance(sim1_instance):
