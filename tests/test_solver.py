@@ -135,13 +135,25 @@ def _assert_matches_eqp(ds, w):
     ) + 1e-12
 
 
-def test_weighted_ls_step_matches_generic_eqp():
+# Full KKT size m*d + m at which the solver once switched from a dense
+# Kronecker KKT solve to the reduced one; the single route must be exact on
+# both sides of it.
+_FORMER_SWITCH = 600
+
+
+@pytest.mark.parametrize("regime", ["dense", "reduced"])
+def test_weighted_ls_step_matches_generic_eqp(regime):
     rng = np.random.default_rng(17)
     sizes = [
         (int(rng.integers(4, 12)), int(rng.integers(2, 5))) for _ in range(5)
     ] + [(30, 4), (70, 9)]  # full KKT systems of 150 and 700 unknowns
+    checked = 0
     for m, d in sizes:
-        _assert_matches_eqp(_random_instance(rng, m, d), _random_weights(rng, m))
+        ds, w = _random_instance(rng, m, d), _random_weights(rng, m)
+        if (m * d + m <= _FORMER_SWITCH) == (regime == "dense"):
+            _assert_matches_eqp(ds, w)
+            checked += 1
+    assert checked > 0
 
 
 def _criterion7_instance(index):
