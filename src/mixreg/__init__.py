@@ -28,10 +28,8 @@ from .errors import (
 )
 from .geometry import (
     ConditionReport,
-    DirectionSet,
     check_conditions,
     direction_between,
-    direction_set,
     orthonormal_complement_basis,
     separation_ratio,
     weighted_direction,
@@ -39,7 +37,6 @@ from .geometry import (
 from .model import (
     Dataset,
     EstimateField,
-    Measurement,
     MixtureModel,
     candidate_solution,
     feasibility_residual,
@@ -83,16 +80,13 @@ __all__ = [
     "NonUniqueSolutionWarning",
     "UnderdeterminedFitWarning",
     "ConditionReport",
-    "DirectionSet",
     "check_conditions",
     "direction_between",
-    "direction_set",
     "orthonormal_complement_basis",
     "separation_ratio",
     "weighted_direction",
     "Dataset",
     "EstimateField",
-    "Measurement",
     "MixtureModel",
     "candidate_solution",
     "feasibility_residual",

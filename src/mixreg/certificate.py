@@ -14,8 +14,9 @@ when three conditions hold:
 * stationarity: ``nu_i a_i = sum_{j in class, j != i} xi_ij + (m - n_p) v_p``
   for every point;
 * strict bound: ``gamma = max ||xi_ij|| < 1``;
-* antisymmetry: ``xi_ij = -xi_ji`` (structural here: one vector is stored per
-  unordered pair and negated on access).
+* antisymmetry: ``xi_ij = -xi_ji`` (structural here: only the m x d rows
+  ``nu_i * P_perp a_i`` are stored, and each ``xi_ij`` is their difference
+  over ``n_p``, formed on access).
 
 Stationarity holds exactly when the instance is balanced; the verdict reports
 the worst-case stationarity defect so imbalanced data fails cleanly.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateUndefinedError, DataValidationError
-from .geometry import ORTHO_RTOL, RANK_RTOL, _resolve_directions
+from .geometry import _project_class, _resolve_directions, _spans
 from .model import Dataset, MixtureModel
 
 __all__ = ["Certificate", "CertificateVerdict", "build_certificate", "verify_certificate"]
@@ -41,35 +42,29 @@ GAMMA_BORDERLINE = 1e-9
 class Certificate:
     """Multipliers (nu, xi) for one labeled instance.
 
-    ``xi`` stores one vector per within-class unordered pair ``(i, j)`` with
-    ``i < j``; :meth:`xi_at` negates on swapped access so antisymmetry holds
-    exactly by construction.
+    ``rows`` is the m x d matrix with row ``i`` equal to ``nu_i * P_perp a_i``;
+    :meth:`xi_at` forms ``xi_ij = (rows[i] - rows[j]) / n_p`` on access, so
+    antisymmetry holds exactly (IEEE subtraction is antisymmetric).
     """
 
     nu: np.ndarray
-    xi: dict[tuple[int, int], np.ndarray]
+    rows: np.ndarray
     gamma: float
     labels: np.ndarray
-    dim: int
 
     def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        nu.setflags(write=False)
-        object.__setattr__(self, "nu", nu)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        for name, dtype in (("nu", float), ("rows", float), ("labels", np.int64)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def xi_at(self, i: int, j: int) -> np.ndarray:
         if self.labels[i] != self.labels[j]:
             raise DataValidationError(
                 f"xi is defined only within a class; rows {i} and {j} differ"
             )
-        if i == j:
-            return np.zeros(self.dim)
-        if i < j:
-            return self.xi[(i, j)]
-        return -self.xi[(j, i)]
+        n_p = np.count_nonzero(self.labels == self.labels[i])
+        return (self.rows[i] - self.rows[j]) / n_p
 
 
 @dataclass(frozen=True)
@@ -113,45 +108,28 @@ def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
     weighted = _resolve_directions(dataset, model)
     m = dataset.m
     nu = np.zeros(m)
-    ortho = np.zeros_like(dataset.features)
+    rows = np.zeros_like(dataset.features)
+    gamma = 0.0
     for p in range(model.k):
         members = dataset.class_members(p)
-        v = weighted[p]
-        vnorm = np.linalg.norm(v)
-        vhat = v / vnorm
-        A = dataset.features[members]
-        coef = A @ vhat
-        par_norm = np.abs(coef)
-        bad = np.flatnonzero(par_norm <= ORTHO_RTOL * np.linalg.norm(A, axis=1))
-        if bad.size:
-            row = int(members[bad[0]])
+        signs, par_norm, ortho, orthogonal = _project_class(
+            dataset.features[members], weighted[p]
+        )
+        if np.any(orthogonal):
+            row = int(members[np.argmax(orthogonal)])
             raise CertificateUndefinedError(
                 f"certificate undefined: measurement row {row} is orthogonal "
                 f"to its class direction",
                 row_index=row,
             )
-        signs = np.where(coef >= 0.0, 1.0, -1.0)
         n_rest = m - members.size
-        nu[members] = signs * vnorm * n_rest / par_norm
-        ortho[members] = A - np.outer(coef, vhat)
-
-    xi: dict[tuple[int, int], np.ndarray] = {}
-    gamma = 0.0
-    scaled = nu[:, None] * ortho
-    for p in range(model.k):
-        members = dataset.class_members(p)
-        n_p = members.size
-        for a_pos in range(n_p):
-            i = int(members[a_pos])
-            for b_pos in range(a_pos + 1, n_p):
-                j = int(members[b_pos])
-                vec = (scaled[i] - scaled[j]) / n_p
-                vec.setflags(write=False)
-                xi[(i, j)] = vec
-                gamma = max(gamma, float(np.linalg.norm(vec)))
-    return Certificate(
-        nu=nu, xi=xi, gamma=gamma, labels=dataset.labels, dim=dataset.d
-    )
+        nu[members] = signs * np.linalg.norm(weighted[p]) * n_rest / par_norm
+        R = rows[members] = nu[members][:, None] * ortho
+        # max ||xi_ij|| over the class's pairs, from direct row differences
+        # (a Gram-matrix form loses the digits the borderline flag needs)
+        diffs = R[:, None, :] - R[None, :, :]
+        gamma = max(gamma, float(np.max(np.linalg.norm(diffs, axis=2))) / members.size)
+    return Certificate(nu=nu, rows=rows, gamma=gamma, labels=dataset.labels)
 
 
 def verify_certificate(
@@ -169,25 +147,22 @@ def verify_certificate(
     weighted = _resolve_directions(dataset, model)
     if not np.array_equal(cert.labels, dataset.labels):
         raise DataValidationError("certificate was built for different labels")
-    if cert.nu.shape != (dataset.m,):
+    if cert.nu.shape != (dataset.m,) or cert.rows.shape != dataset.features.shape:
         raise DataValidationError("certificate size does not match dataset")
 
     s1_residual = 0.0
     spans_ok = True
     for p in range(model.k):
         members = dataset.class_members(p)
-        rest = dataset.m - members.size
-        target = rest * weighted[p]
-        for i in members:
-            total = np.zeros(dataset.d)
-            for j in members:
-                if j != i:
-                    total += cert.xi_at(int(i), int(j))
-            defect = cert.nu[i] * dataset.features[i] - total - target
-            s1_residual = max(s1_residual, float(np.linalg.norm(defect)))
-        svals = np.linalg.svd(dataset.features[members], compute_uv=False)
-        if int(np.sum(svals > RANK_RTOL * svals[0])) != dataset.d:
-            spans_ok = False
+        R = cert.rows[members]
+        # sum_{j != i} xi_ij = rows[i] - mean of the class's rows
+        defect = (
+            cert.nu[members][:, None] * dataset.features[members]
+            - (R - R.mean(axis=0))
+            - (dataset.m - members.size) * weighted[p]
+        )
+        s1_residual = max(s1_residual, float(np.max(np.linalg.norm(defect, axis=1))))
+        spans_ok = spans_ok and _spans(dataset.features[members])
 
     scale = float(np.max(np.abs(cert.nu) * np.linalg.norm(dataset.features, axis=1)))
     strict = cert.gamma < 1.0

@@ -8,7 +8,6 @@ original measurements.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .model import Dataset
 __all__ = ["ClusteringResult", "RefitResult", "kmeans", "refit_regression", "match_labels"]
 
 LLOYD_MAX_ITER = 300
-MATCH_MAX_K = 8
 
 
 @dataclass(frozen=True)
@@ -176,22 +174,25 @@ def refit_regression(dataset: Dataset, labels) -> RefitResult:
 
 def match_labels(predicted, truth, k: int) -> tuple[tuple[int, ...], float]:
     """Best relabeling of ``predicted`` against ``truth`` over all
-    permutations of ``{0..k-1}``; exhaustive, so k is capped at 8.
+    permutations of ``{0..k-1}``, found as a maximum-weight assignment on
+    the k x k confusion matrix.
 
     Returns ``(perm, accuracy)`` where ``perm[p]`` is the truth class that
-    predicted class ``p`` is mapped to.
+    predicted class ``p`` is mapped to.  Every label must lie in ``[0, k)``.
     """
-    if k > MATCH_MAX_K:
-        raise DataValidationError(f"exhaustive matching refuses k > {MATCH_MAX_K}")
+    # imported here: scipy.optimize takes longer to import than all of mixreg,
+    # and nothing else in the package needs it
+    from scipy.optimize import linear_sum_assignment
+
     predicted = np.asarray(predicted, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
-    if predicted.shape != truth.shape:
-        raise DataValidationError("label lists must have the same length")
-    best_perm = None
-    best_hits = -1
-    for perm in itertools.permutations(range(k)):
-        hits = int(np.sum(np.asarray(perm)[predicted] == truth))
-        if hits > best_hits:
-            best_hits = hits
-            best_perm = perm
-    return best_perm, best_hits / predicted.size
+    if predicted.shape != truth.shape or predicted.size == 0:
+        raise DataValidationError("label lists must be nonempty and of the same length")
+    for name, labels in (("predicted", predicted), ("truth", truth)):
+        if labels.min() < 0 or labels.max() >= k:
+            raise DataValidationError(f"{name} labels must lie in [0, {k})")
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (predicted, truth), 1)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    hits = int(confusion[rows, cols].sum())
+    return tuple(int(c) for c in cols), hits / predicted.size

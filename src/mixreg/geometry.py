@@ -24,11 +24,9 @@ from .errors import DataValidationError, DegenerateModelError, OrthogonalPointEr
 from .model import Dataset, MixtureModel
 
 __all__ = [
-    "DirectionSet",
     "ConditionReport",
     "direction_between",
     "weighted_direction",
-    "direction_set",
     "separation_ratio",
     "orthonormal_complement_basis",
     "orthonormal_complement_bases",
@@ -40,21 +38,6 @@ RANK_RTOL = 1e-10
 # A projection norm below this fraction of ||a|| counts as orthogonal; dot
 # products of truly orthogonal vectors land at rounding level, not 0.0.
 ORTHO_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class DirectionSet:
-    """All pair directions (k x k x d, zero on the diagonal) and the k
-    weighted directions (k x d)."""
-
-    pairwise: np.ndarray
-    weighted: np.ndarray
-
-    def __post_init__(self):
-        for name in ("pairwise", "weighted"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -109,17 +92,6 @@ def weighted_direction(p: int, model: MixtureModel) -> np.ndarray:
         acc += n_q * direction_between(model.betas[p], model.betas[q])
         total += n_q
     return acc / total
-
-
-def direction_set(model: MixtureModel) -> DirectionSet:
-    k, d = model.k, model.d
-    pairwise = np.zeros((k, k, d))
-    for p in range(k):
-        for q in range(k):
-            if p != q:
-                pairwise[p, q] = direction_between(model.betas[p], model.betas[q])
-    weighted = np.stack([weighted_direction(p, model) for p in range(k)])
-    return DirectionSet(pairwise, weighted)
 
 
 def separation_ratio(a: np.ndarray, v: np.ndarray) -> float:
@@ -201,6 +173,28 @@ def _resolve_directions(dataset: Dataset, model: MixtureModel) -> np.ndarray:
     return np.stack([weighted_direction(p, model) for p in range(model.k)])
 
 
+def _project_class(A: np.ndarray, v: np.ndarray):
+    """Split the rows of ``A`` along ``v`` and its orthogonal complement.
+
+    Returns ``(signs, par_norm, ortho, orthogonal)``: the sign of each row's
+    coefficient along ``v`` (sign(0) := +1), the norm of its projection onto
+    span{v}, the ``P_perp`` part of each row, and a mask of rows whose
+    projection onto span{v} is at rounding level.
+    """
+    vhat = v / np.linalg.norm(v)
+    coef = A @ vhat
+    par_norm = np.abs(coef)
+    ortho = A - np.outer(coef, vhat)
+    orthogonal = par_norm <= ORTHO_RTOL * np.linalg.norm(A, axis=1)
+    return np.where(coef >= 0.0, 1.0, -1.0), par_norm, ortho, orthogonal
+
+
+def _spans(A: np.ndarray) -> bool:
+    """Whether the rows of ``A`` span the full space (numerical rank d)."""
+    svals = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(svals > RANK_RTOL * svals[0])) == A.shape[1]
+
+
 def check_conditions(dataset: Dataset, model: MixtureModel) -> ConditionReport:
     """Evaluate well-separation, balance, and span for a labeled instance.
 
@@ -209,29 +203,21 @@ def check_conditions(dataset: Dataset, model: MixtureModel) -> ConditionReport:
     rather than raised.
     """
     weighted = _resolve_directions(dataset, model)
-    k, d = model.k, model.d
+    k = model.k
     lhs = 0.0
     taus = np.zeros(k)
     span_ok = np.zeros(k, dtype=bool)
     for p in range(k):
-        members = dataset.class_members(p)
-        A = dataset.features[members]
-        v = weighted[p]
-        vhat = v / np.linalg.norm(v)
-        coef = A @ vhat
-        par_norm = np.abs(coef)
-        ortho = A - np.outer(coef, vhat)
-        if np.any(par_norm <= ORTHO_RTOL * np.linalg.norm(A, axis=1)):
+        A = dataset.features[dataset.class_members(p)]
+        signs, par_norm, ortho, orthogonal = _project_class(A, weighted[p])
+        if np.any(orthogonal):
             lhs = math.inf
             taus[p] = math.inf
         else:
             lhs = max(lhs, float(np.max(np.linalg.norm(ortho, axis=1) / par_norm)))
-            # sign(0) := +1 by convention; true zeros were handled above
-            signs = np.where(coef >= 0.0, 1.0, -1.0)
             total = (signs / par_norm)[:, None] * ortho
-            taus[p] = float(np.linalg.norm(total.sum(axis=0)) / members.size)
-        svals = np.linalg.svd(A, compute_uv=False)
-        span_ok[p] = int(np.sum(svals > RANK_RTOL * svals[0])) == d
+            taus[p] = float(np.linalg.norm(total.sum(axis=0)) / A.shape[0])
+        span_ok[p] = _spans(A)
     rhs = 0.5 * float(model.sizes.min()) / dataset.m
     return ConditionReport(
         separation_lhs=lhs,

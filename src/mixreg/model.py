@@ -1,4 +1,4 @@
-"""Core data model: measurements, labeled datasets, mixture models, and
+"""Core data model: labeled datasets, mixture models, and
 per-point estimate fields, plus the basic evaluation functionals.
 
 Conventions used throughout the package:
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DataValidationError, DegenerateModelError
 
 __all__ = [
-    "Measurement",
     "Dataset",
     "MixtureModel",
     "EstimateField",
@@ -34,25 +33,6 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
     return a
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One measurement: a nonzero vector ``a`` and scalar response ``b``."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = _frozen_array(self.a)
-        if a.ndim != 1 or a.size < 1:
-            raise DataValidationError("measurement vector must be 1-D with d >= 1")
-        if not np.all(np.isfinite(a)) or not np.isfinite(self.b):
-            raise DataValidationError("measurement contains non-finite values")
-        if not np.any(a != 0.0):
-            raise DataValidationError("measurement vector must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
 
 
 @dataclass(frozen=True)
@@ -116,15 +96,6 @@ class Dataset:
 
     def class_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
-
-    @classmethod
-    def from_measurements(cls, rows, labels=None) -> "Dataset":
-        feats = np.stack([r.a for r in rows])
-        resp = np.array([r.b for r in rows])
-        return cls(feats, resp, labels)
-
-    def measurement(self, i: int) -> Measurement:
-        return Measurement(self.features[i], float(self.responses[i]))
 
 
 @dataclass(frozen=True)

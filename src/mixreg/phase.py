@@ -118,11 +118,6 @@ class PhaseGrid:
         f.setflags(write=False)
         object.__setattr__(self, "fractions", f)
 
-    def fraction(self, d: int, value: float) -> float:
-        di = self.d_values.index(d)
-        si = self.sweep_values.index(value)
-        return float(self.fractions[di, si])
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixreg.certificate import build_certificate, verify_certificate
 from mixreg.errors import CertificateUndefinedError, DataValidationError
@@ -170,3 +172,44 @@ def test_verify_rejects_mismatched_inputs(sim1_instance):
     )
     with pytest.raises(DataValidationError):
         verify_certificate(cert, relabeled, other_model)
+
+
+@st.composite
+def _labeled_instances(draw):
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.integers(d, 3 * d), min_size=k, max_size=k))
+    return d, sizes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_labeled_instances())
+def test_certificate_matches_pairwise_reference(instance):
+    d, sizes, seed = instance
+    rng = np.random.default_rng(seed)
+    betas = rng.standard_normal((len(sizes), d))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    feats = rng.standard_normal((labels.size, d))
+    dataset = Dataset(feats, np.einsum("ij,ij->i", feats, betas[labels]), labels)
+    model = MixtureModel(betas, np.array(sizes))
+    cert = build_certificate(dataset, model)
+    verdict = verify_certificate(cert, dataset, model)
+
+    # reference: the explicit per-pair sums and norms
+    s1_residual = 0.0
+    gamma = 0.0
+    for p in range(model.k):
+        members = [int(i) for i in dataset.class_members(p)]
+        target = (dataset.m - len(members)) * weighted_direction(p, model)
+        for i in members:
+            total = np.zeros(d)
+            for j in members:
+                if j != i:
+                    xi = cert.xi_at(i, j)
+                    assert np.array_equal(cert.xi_at(j, i), -xi)
+                    total += xi
+                    gamma = max(gamma, float(np.linalg.norm(xi)))
+            defect = cert.nu[i] * dataset.features[i] - total - target
+            s1_residual = max(s1_residual, float(np.linalg.norm(defect)))
+    assert abs(verdict.s1_residual - s1_residual) <= 1e-12 * verdict.s1_scale
+    assert cert.gamma == pytest.approx(gamma, rel=1e-14, abs=0.0)

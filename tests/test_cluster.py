@@ -97,6 +97,13 @@ def test_match_labels_basic():
     perm, acc = match_labels(swapped, truth, 3)
     assert perm == (1, 0, 2)
     assert acc == 1.0
+    # k = 10: the exact inverse of the relabeling
+    rng = np.random.default_rng(11)
+    truth = rng.permutation(np.repeat(np.arange(10), 5))
+    relabel = rng.permutation(10)  # truth class c is predicted as relabel[c]
+    perm, acc = match_labels(relabel[truth], truth, 10)
+    assert perm == tuple(int(c) for c in np.argsort(relabel))
+    assert acc == 1.0
 
 
 def test_match_labels_random_balanced():
@@ -113,9 +120,17 @@ def test_match_labels_random_balanced():
 
 def test_match_labels_validation():
     with pytest.raises(DataValidationError):
-        match_labels(np.zeros(4, dtype=int), np.zeros(4, dtype=int), 9)
-    with pytest.raises(DataValidationError):
         match_labels(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 2)
+    with pytest.raises(DataValidationError):
+        match_labels([], [], 2)
+    # labels outside [0, k): negative (would wrap), predicted >= k, truth >= k
+    for predicted, truth in (
+        ([0, -1, 1], [0, 1, 1]),
+        ([0, 2, 1], [0, 1, 1]),
+        ([0, 1, 1], [0, 1, 2]),
+    ):
+        with pytest.raises(DataValidationError):
+            match_labels(predicted, truth, 2)
 
 
 def test_full_pipeline_recovers_components():

@@ -11,7 +11,6 @@ from mixreg.errors import (
 from mixreg.geometry import (
     check_conditions,
     direction_between,
-    direction_set,
     orthonormal_complement_bases,
     orthonormal_complement_basis,
     separation_ratio,
@@ -60,19 +59,6 @@ def test_weighted_direction_rejects_k1():
     model = MixtureModel(np.array([[1.0, 0.0]]), np.array([4]))
     with pytest.raises(DegenerateModelError):
         weighted_direction(0, model)
-
-
-def test_direction_set_shapes():
-    model = MixtureModel(np.eye(3), np.array([4, 4, 4]))
-    ds = direction_set(model)
-    assert ds.pairwise.shape == (3, 3, 3)
-    assert ds.weighted.shape == (3, 3)
-    for p in range(3):
-        for q in range(3):
-            if p != q:
-                assert np.array_equal(ds.pairwise[p, q], -ds.pairwise[q, p])
-                assert np.linalg.norm(ds.pairwise[p, q]) == pytest.approx(1.0)
-        assert np.linalg.norm(ds.weighted[p]) <= 1.0 + 1e-12
 
 
 def test_separation_ratio_cases():

@@ -5,7 +5,6 @@ from mixreg.errors import DataValidationError, DegenerateModelError
 from mixreg.model import (
     Dataset,
     EstimateField,
-    Measurement,
     MixtureModel,
     candidate_solution,
     feasibility_residual,
@@ -13,16 +12,6 @@ from mixreg.model import (
     recovery_error,
 )
 from oracles import brute_force_objective
-
-
-def test_measurement_validation():
-    Measurement(np.array([1.0, 0.0]), 2.0)
-    with pytest.raises(DataValidationError):
-        Measurement(np.array([0.0, 0.0]), 1.0)
-    with pytest.raises(DataValidationError):
-        Measurement(np.array([np.nan, 1.0]), 1.0)
-    with pytest.raises(DataValidationError):
-        Measurement(np.array([1.0]), np.inf)
 
 
 def test_dataset_validation():
@@ -45,14 +34,6 @@ def test_dataset_is_immutable(sim1_instance):
     dataset, _ = sim1_instance
     with pytest.raises(ValueError):
         dataset.features[0, 0] = 5.0
-
-
-def test_dataset_from_measurements():
-    rows = [Measurement(np.array([1.0, 2.0]), 3.0), Measurement(np.array([0.0, 1.0]), 1.0)]
-    ds = Dataset.from_measurements(rows, labels=[0, 1])
-    assert ds.m == 2 and ds.d == 2
-    assert ds.measurement(0).b == 3.0
-    assert np.array_equal(ds.measurement(1).a, [0.0, 1.0])
 
 
 def test_mixture_model_validation():

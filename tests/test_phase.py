@@ -57,7 +57,7 @@ def test_config_validation():
 def test_small_grid_recovers():
     grid = run_phase(_tiny_cfg())
     assert grid.fractions.shape == (1, 1)
-    assert grid.fraction(3, 0.1) == 1.0
+    assert grid.fractions[0, 0] == 1.0
     recs = grid.records[0][0]
     assert len(recs) == 3
     assert all(r.success and not r.failed and r.error is None for r in recs)
