@@ -53,10 +53,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=150, help="iteration cap")
     p.add_argument("--stop-tol", type=float, default=1e-5,
                    help="normalized step-norm stopping tolerance")
-    p.add_argument("--delta-init", type=float, default=None,
-                   help="enable geometric delta annealing from this value")
-    p.add_argument("--delta-decay", type=float, default=0.5,
-                   help="annealing decay factor per iteration")
 
 
 def _solver_options(args) -> SolverOptions:
@@ -64,8 +60,6 @@ def _solver_options(args) -> SolverOptions:
         delta=args.delta,
         max_iter=args.max_iter,
         stop_tol=args.stop_tol,
-        delta_init=args.delta_init,
-        delta_decay=args.delta_decay,
     )
 
 
@@ -165,7 +159,7 @@ def _cmd_solve(args) -> int:
         write_json(trace.to_dict(), args.trace_out)
     print(
         f"solved m={dataset.m} d={dataset.d}: iterations={trace.iterations} "
-        f"converged={trace.converged} "
+        f"converged={trace.converged} stop_reason={trace.stop_reason} "
         f"feasibility={feasibility_residual(estimates, dataset):.3e}"
     )
     return EXIT_OK
@@ -226,6 +220,7 @@ def _cmd_fit(args) -> int:
         _write_estimates_csv(args.estimates_out, estimates.z, report.labels)
     print(
         f"fit k={args.k}: iterations={report.trace.iterations} "
+        f"stop_reason={report.trace.stop_reason} "
         f"max per-class residual={float(np.max(report.per_class_residual)):.3e}"
     )
     return EXIT_OK

@@ -89,6 +89,7 @@ class TrialRecord:
     failed: bool
     success: bool
     error: str | None = None  # "<ErrorClass>: <message>" when failed
+    stop_reason: str | None = None  # the solve's SolveTrace.stop_reason
 
     def to_dict(self) -> dict:
         return {
@@ -99,6 +100,7 @@ class TrialRecord:
             "failed": self.failed,
             "success": self.success,
             "error": self.error,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -156,7 +158,7 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             )
         else:
             dataset, model = gen_sim2(Sim2Config(d=d, tau=value, seed=seed))
-        estimate, trace = irls_solve(dataset, cfg.solver)
+        estimate, trace = irls_solve(dataset, cfg.solver, k=model.k)
         err = recovery_error(estimate, candidate_solution(dataset, model))
         return TrialRecord(
             seed=seed,
@@ -165,6 +167,7 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             converged=trace.converged,
             failed=False,
             success=bool(err < cfg.success_tol),
+            stop_reason=trace.stop_reason,
         )
     except MixregError as exc:
         return TrialRecord(

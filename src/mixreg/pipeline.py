@@ -46,12 +46,15 @@ def fit_pipeline(
 ) -> tuple[FitReport, EstimateField]:
     """Solve, cluster into ``k`` groups, and refit one model per group.
 
+    The solve is given ``k``, so it may end early on a certified optimum
+    (see :func:`mixreg.solver.irls_solve`).
+
     ``center_column`` (0-based), when given, recenters and rescales that
     feature column before solving.
     """
     if center_column is not None:
         dataset = preprocess_center_scale(dataset, center_alpha, center_column)
-    estimates, trace = irls_solve(dataset, opts)
+    estimates, trace = irls_solve(dataset, opts, k=k)
     clustering: ClusteringResult = kmeans(estimates.z, k, restarts=restarts, seed=seed)
     refit: RefitResult = refit_regression(dataset, clustering.labels)
     report = FitReport(

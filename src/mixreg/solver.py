@@ -36,6 +36,12 @@ Degenerate subproblems (disconnected weight graph, or measurement vectors
 that do not span the full space) have multiple minimizers; the minimum-norm
 one, the least-squares solution of the same null-space system, is returned
 along with a :class:`NonUniqueSolutionWarning`.
+
+When the caller knows the number of classes ``k``, the loop also tries a
+certified exit at iterations 1, 2, 4, 8, ...: it clusters the iterate into
+``k`` groups, refits one regression per group, and returns the refit field
+``z_i = beta_hat[label_i]`` if it is feasible and the closed-form dual
+certificate proves it the program's unique minimizer.
 """
 
 from __future__ import annotations
@@ -46,13 +52,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
+from .certificate import build_certificate, verify_certificate
+from .cluster import kmeans, refit_regression
 from .errors import (
     DataValidationError,
+    MixregError,
     NonUniqueSolutionWarning,
     NumericalError,
+    UnderdeterminedFitWarning,
 )
 from .geometry import orthonormal_complement_bases
-from .model import Dataset, EstimateField, recovery_error
+from .model import Dataset, EstimateField, MixtureModel, recovery_error
 
 __all__ = [
     "SolverOptions",
@@ -66,23 +76,21 @@ __all__ = [
 
 # Condition-estimate floor: reciprocal condition numbers below this raise.
 RCOND_MIN = 1e-14
+# k-means restarts of a certified-exit attempt
+_EXIT_RESTARTS = 5
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Solver parameters.
 
-    ``delta`` is the smoothing constant in the weight update and stays fixed
-    by default.  Setting ``delta_init`` enables a geometric annealing
-    schedule ``delta_t = max(delta, delta_init * delta_decay**(t-1))``.
+    ``delta`` is the smoothing constant in the weight update.
     """
 
     delta: float = 1e-16
     max_iter: int = 150
     stop_tol: float = 1e-5
     subproblem_tol: float = 1e-10
-    delta_init: float | None = None
-    delta_decay: float = 0.5
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -91,27 +99,23 @@ class SolverOptions:
             raise DataValidationError("max_iter must be at least 1")
         if not (self.stop_tol > 0 and self.subproblem_tol > 0):
             raise DataValidationError("tolerances must be positive")
-        if self.delta_init is not None and not self.delta_init > 0:
-            raise DataValidationError("delta_init must be positive")
-        if not 0 < self.delta_decay <= 1:
-            raise DataValidationError("delta_decay must be in (0, 1]")
-
-    def delta_at(self, iteration: int) -> float:
-        """Smoothing value for a 1-based iteration index."""
-        if self.delta_init is None:
-            return self.delta
-        return max(self.delta, self.delta_init * self.delta_decay ** (iteration - 1))
 
 
 @dataclass
 class SolveTrace:
-    """Per-solve diagnostics."""
+    """Per-solve diagnostics.
+
+    ``stop_reason`` is ``"certified"`` (the returned field carries a dual
+    certificate), ``"step"`` (the step norm fell below ``stop_tol``) or
+    ``"cap"`` (``max_iter`` subproblems were solved).
+    """
 
     iterations: int
     objective_history: list[float]
     final_step_norm: float | None
     converged: bool
     max_feasibility_residual: float
+    stop_reason: str
 
     def to_dict(self) -> dict:
         return {
@@ -120,6 +124,7 @@ class SolveTrace:
             "final_step_norm": self.final_step_norm,
             "converged": self.converged,
             "max_feasibility_residual": self.max_feasibility_residual,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -439,52 +444,99 @@ def weighted_ls_step(
         z = _solve_min_norm(features, responses, L, subproblem_tol)
         z = _project_rows(z, features, responses)
 
+    if not _feasible(features, responses, z):
+        raise NumericalError("constraint residual above tolerance after solve")
+    return EstimateField(z)
+
+
+def _feasible(features, responses, z) -> bool:
+    """Every ``|a_i^T z_i - b_i|`` within 1e-12 of the row's own scale."""
     gaps = np.abs(np.einsum("ij,ij->i", features, z) - responses)
     bounds = 1e-12 * (
         np.abs(responses)
         + np.linalg.norm(features, axis=1) * np.linalg.norm(z, axis=1)
     ) + 1e-12
-    if np.any(gaps > bounds):
-        raise NumericalError("constraint residual above tolerance after solve")
-    return EstimateField(z)
+    return not np.any(gaps > bounds)
+
+
+def _certified_field(dataset: Dataset, z: np.ndarray, k: int) -> EstimateField | None:
+    """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
+    if that field is feasible and the closed-form certificate proves it the
+    program's unique minimizer; ``None`` otherwise."""
+    features, responses = dataset.features, dataset.responses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnderdeterminedFitWarning)
+        try:
+            labels = kmeans(z, k, restarts=_EXIT_RESTARTS, seed=0).labels
+            betas = refit_regression(dataset, labels).betas_hat
+            snapped = betas[labels]
+            if not _feasible(features, responses, snapped):
+                return None
+            labeled = Dataset(features, responses, labels)
+            model = MixtureModel(betas, np.bincount(labels))
+            verdict = verify_certificate(
+                build_certificate(labeled, model), labeled, model
+            )
+        except (MixregError, UnderdeterminedFitWarning):
+            return None
+    return EstimateField(snapped) if verdict.certifies else None
+
+
+def _max_gap(dataset: Dataset, Z: EstimateField) -> float:
+    return float(np.max(np.abs(
+        np.einsum("ij,ij->i", dataset.features, Z.z) - dataset.responses
+    )))
 
 
 def irls_solve(
-    dataset: Dataset, opts: SolverOptions = SolverOptions()
+    dataset: Dataset, opts: SolverOptions = SolverOptions(), *, k: int | None = None
 ) -> tuple[EstimateField, SolveTrace]:
     """Run the reweighting loop until the normalized step norm drops below
     ``opts.stop_tol`` or ``opts.max_iter`` subproblems have been solved.
 
+    With ``k >= 2`` the iterates at t = 1, 2, 4, 8, ... are also clustered
+    into ``k`` groups and refit; a refit field that the closed-form dual
+    certificate proves optimal is returned at once.  Without ``k`` (or with
+    ``k = 1``) only the step rule and the cap stop the loop.
+
     Non-convergence is reported through ``trace.converged``, not raised.
     """
+    if k is not None and k < 1:
+        raise DataValidationError("k must be at least 1")
     weights = WeightMatrix.uniform(dataset.m)
     history: list[float] = []
     prev: EstimateField | None = None
     step: float | None = None
     converged = False
+    stop_reason = "cap"
     max_feas = 0.0
     iterations = 0
+    next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
         iterations = t
-        delta_t = opts.delta_at(t)
         Z = weighted_ls_step(dataset, weights, subproblem_tol=opts.subproblem_tol)
-        history.append(smoothed_objective(Z, delta_t))
-        max_feas = max(max_feas, float(np.max(np.abs(
-            np.einsum("ij,ij->i", dataset.features, Z.z) - dataset.responses
-        ))))
+        history.append(smoothed_objective(Z, opts.delta))
+        max_feas = max(max_feas, _max_gap(dataset, Z))
         if prev is not None:
             step = recovery_error(Z, prev)
-            if step < opts.stop_tol:
-                converged = True
-                prev = Z
+        if t == next_exit:
+            next_exit *= 2
+            certified = _certified_field(dataset, Z.z, k)
+            if certified is not None:
+                max_feas = max(max_feas, _max_gap(dataset, certified))
+                prev, converged, stop_reason = certified, True, "certified"
                 break
         prev = Z
-        weights = update_weights(Z, delta_t)
+        if step is not None and step < opts.stop_tol:
+            converged, stop_reason = True, "step"
+            break
+        weights = update_weights(Z, opts.delta)
     trace = SolveTrace(
         iterations=iterations,
         objective_history=history,
         final_step_norm=step,
         converged=converged,
         max_feasibility_residual=max_feas,
+        stop_reason=stop_reason,
     )
     return prev, trace

@@ -108,3 +108,19 @@ def test_fit_with_preprocessing(tmp_path, tone_like_path):
     assert payload["k"] == 2
     est_header = (tmp_path / "est.csv").read_text().splitlines()[0]
     assert est_header == "z_1,z_2,label"
+
+
+def test_summary_lines_report_stop_reason(tmp_path, capsys, two_lines_path):
+    trace = tmp_path / "trace.json"
+    assert main([
+        "solve", str(two_lines_path), "-o", str(tmp_path / "est.csv"),
+        "--trace-out", str(trace),
+    ]) == 0
+    reason = json.loads(trace.read_text())["stop_reason"]
+    assert reason in ("step", "cap")  # solve is given no k: plain IRLS
+    assert f"stop_reason={reason}" in capsys.readouterr().out
+
+    fit = tmp_path / "fit.json"
+    assert main(["fit", str(two_lines_path), "--k", "2", "-o", str(fit)]) == 0
+    assert json.loads(fit.read_text())["trace"]["stop_reason"] == "certified"
+    assert "stop_reason=certified" in capsys.readouterr().out

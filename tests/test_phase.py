@@ -77,7 +77,7 @@ def test_grid_reproducible_and_worker_independent():
 
 
 def test_solver_failure_recorded_not_raised(monkeypatch):
-    def boom(dataset, opts):
+    def boom(dataset, opts, k=None):
         raise NumericalError("forced failure")
 
     monkeypatch.setattr(phase_mod, "irls_solve", boom)
@@ -88,6 +88,20 @@ def test_solver_failure_recorded_not_raised(monkeypatch):
         r.to_dict()["error"] == "NumericalError: forced failure"
         for r in grid.records[0][0]
     )
+
+
+def test_trial_records_carry_stop_reason(monkeypatch):
+    payload = run_phase(_tiny_cfg(trials=2)).to_dict()
+    records = payload["cells"][0]["records"]
+    assert [r["stop_reason"] for r in records] == ["certified", "certified"]
+    assert all(r["iterations"] == 1 and r["success"] for r in records)
+
+    def boom(dataset, opts, k=None):
+        raise NumericalError("forced failure")
+
+    monkeypatch.setattr(phase_mod, "irls_solve", boom)
+    failed = run_phase(_tiny_cfg(trials=1)).to_dict()["cells"][0]["records"]
+    assert failed[0]["stop_reason"] is None
 
 
 def test_grid_outputs(tmp_path):

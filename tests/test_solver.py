@@ -51,12 +51,6 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(DataValidationError):
         SolverOptions(stop_tol=-1.0)
-    with pytest.raises(DataValidationError):
-        SolverOptions(delta_decay=0.0)
-    opts = SolverOptions(delta_init=1e-2, delta_decay=0.1)
-    assert opts.delta_at(1) == 1e-2
-    assert opts.delta_at(2) == pytest.approx(1e-3)
-    assert opts.delta_at(30) == 1e-16  # floors at delta
 
 
 def test_weight_matrix_validation():
@@ -260,8 +254,9 @@ def test_irls_recovers_separated_instance(sim1_instance):
     payload = trace.to_dict()
     assert set(payload) == {
         "iterations", "objective_history", "final_step_norm",
-        "converged", "max_feasibility_residual",
+        "converged", "max_feasibility_residual", "stop_reason",
     }
+    assert payload["stop_reason"] == "step"
 
 
 def test_irls_concurrent_lines_two_iterations():
@@ -314,9 +309,49 @@ def test_irls_single_subproblem():
     assert not trace.converged
 
 
-def test_irls_delta_annealing_runs(sim1_instance):
-    dataset, model = sim1_instance
-    opts = SolverOptions(delta_init=1e-4, delta_decay=0.25)
-    estimate, trace = irls_solve(dataset, opts)
-    assert trace.converged
-    assert recovery_error(estimate, candidate_solution(dataset, model)) < 1e-4
+def test_irls_certified_exit_matches_plain_solve(criterion1_runs, criterion4_runs):
+    # every aperture-grid instance, and every criterion-4 instance whose
+    # planted certificate certifies, exits through the certificate and lands
+    # on the plain solve's answer with no larger objective
+    runs = criterion1_runs + [r for r in criterion4_runs if r["verdict"].certifies]
+    opts = SolverOptions(stop_tol=1e-8, max_iter=8)
+    for rec in runs:
+        dataset, model = rec["dataset"], rec["model"]
+        estimate, trace = irls_solve(dataset, opts, k=model.k)
+        assert trace.stop_reason == "certified" and trace.converged
+        assert len(trace.objective_history) == trace.iterations
+        assert trace.max_feasibility_residual >= feasibility_residual(estimate, dataset)
+        assert recovery_error(estimate, rec["estimate"]) <= 1e-5
+        assert objective(estimate) <= objective(rec["estimate"]) + 1e-9 * dataset.m**2
+
+
+def test_irls_exit_leaves_uncertified_solve_unchanged():
+    # criterion-3 cell d=4, tau=0.02: the closed-form certificate cannot
+    # certify an imbalanced labeling, so every attempt fails and the loop
+    # must run exactly as without k
+    from mixreg.phase import trial_seed
+    from mixreg.synth import Sim2Config, gen_sim2
+
+    dataset, model = gen_sim2(Sim2Config(d=4, tau=0.02, seed=trial_seed(1, 4, 1, 0)))
+    plain, plain_trace = irls_solve(dataset)
+    tried, tried_trace = irls_solve(dataset, k=model.k)
+    assert tried_trace.stop_reason != "certified"
+    assert tried_trace.stop_reason == plain_trace.stop_reason
+    assert np.array_equal(tried.z, plain.z)
+    assert tried_trace.iterations == plain_trace.iterations
+    assert tried_trace.objective_history == plain_trace.objective_history
+
+
+def test_irls_exit_needs_k_at_least_two(sim1_instance, monkeypatch):
+    import mixreg.solver as solver_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("exit attempted")
+
+    monkeypatch.setattr(solver_mod, "_certified_field", never)
+    dataset, _ = sim1_instance
+    for k in (None, 1):
+        _, trace = irls_solve(dataset, k=k)
+        assert trace.stop_reason == "step"
+    with pytest.raises(DataValidationError):
+        irls_solve(dataset, k=0)
