@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusteringResult, RefitResult, kmeans, refit_regression
+from .cluster import RefitResult, kmeans, refit_regression
 from .dataio import preprocess_center_scale
 from .model import Dataset, EstimateField
 from .solver import SolveTrace, SolverOptions, irls_solve
@@ -47,7 +47,9 @@ def fit_pipeline(
     """Solve, cluster into ``k`` groups, and refit one model per group.
 
     The solve is given ``k``, so it may end early on a certified optimum
-    (see :func:`mixreg.solver.irls_solve`).
+    (see :func:`mixreg.solver.irls_solve`); the labels then come from the
+    distinct rows of the certified field, one per class, with inertia 0,
+    instead of from k-means.
 
     ``center_column`` (0-based), when given, recenters and rescales that
     feature column before solving.
@@ -55,14 +57,20 @@ def fit_pipeline(
     if center_column is not None:
         dataset = preprocess_center_scale(dataset, center_alpha, center_column)
     estimates, trace = irls_solve(dataset, opts, k=k)
-    clustering: ClusteringResult = kmeans(estimates.z, k, restarts=restarts, seed=seed)
-    refit: RefitResult = refit_regression(dataset, clustering.labels)
+    if trace.stop_reason == "certified":
+        # one distinct row per class; numpy 2.0.0 returned the inverse as 2-D
+        _, inverse = np.unique(estimates.z, axis=0, return_inverse=True)
+        labels, inertia = inverse.reshape(-1), 0.0
+    else:
+        clustering = kmeans(estimates.z, k, restarts=restarts, seed=seed)
+        labels, inertia = clustering.labels, clustering.inertia
+    refit: RefitResult = refit_regression(dataset, labels)
     report = FitReport(
         k=k,
         betas_hat=refit.betas_hat,
-        labels=clustering.labels,
+        labels=labels,
         per_class_residual=refit.per_class_residual,
-        inertia=clustering.inertia,
+        inertia=inertia,
         trace=trace,
     )
     return report, estimates

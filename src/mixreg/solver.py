@@ -164,23 +164,32 @@ def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diffs, diffs)
 
 
+def _reweight(z: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+    """Next weights and smoothed objective from one distance pass.
+
+    With ``r_ij = sqrt(||z_i - z_j||^2 + delta)``, the weights are
+    ``1 / r_ij`` and the objective is ``sum_{i != j} r_ij``; self-pairs get
+    weight 0 and are excluded from the sum.
+    """
+    r = np.sqrt(_pairwise_sq_dists(z) + delta)
+    w = 1.0 / r
+    np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(r, 0.0)
+    return w, float(r.sum())
+
+
 def update_weights(Z, delta: float) -> WeightMatrix:
     """``w_ij = (||z_i - z_j||^2 + delta)^(-1/2)`` with a zero diagonal."""
     if not delta > 0:
         raise DataValidationError("delta must be positive")
     z = Z.z if isinstance(Z, EstimateField) else np.asarray(Z, dtype=float)
-    w = 1.0 / np.sqrt(_pairwise_sq_dists(z) + delta)
-    np.fill_diagonal(w, 0.0)
-    return WeightMatrix(w)
+    return WeightMatrix(_reweight(z, delta)[0])
 
 
 def smoothed_objective(Z, delta: float) -> float:
     """``sum_{i != j} sqrt(||z_i - z_j||^2 + delta)`` (self-pairs excluded)."""
     z = Z.z if isinstance(Z, EstimateField) else np.asarray(Z, dtype=float)
-    sq = _pairwise_sq_dists(z)
-    vals = np.sqrt(sq + delta)
-    np.fill_diagonal(vals, 0.0)
-    return float(vals.sum())
+    return _reweight(z, delta)[1]
 
 
 def _connected(w: np.ndarray) -> bool:
@@ -426,27 +435,37 @@ def weighted_ls_step(
     if weights.m != dataset.m:
         raise DataValidationError("weight matrix size does not match dataset")
     features = dataset.features
-    responses = dataset.responses
-    L = _laplacian(weights.w)
+    z = _weighted_ls(
+        features, dataset.responses, weights.w, subproblem_tol,
+        _features_span_full(features),
+    )
+    return EstimateField(z)
+
+
+def _weighted_ls(features, responses, w, tol, span_full: bool) -> np.ndarray:
+    """:func:`weighted_ls_step` on raw arrays: ``w`` is a valid weight matrix
+    of matching size and ``span_full`` says whether ``features`` span the
+    space, both checked by the caller."""
+    L = _laplacian(w)
 
     degenerate = None
-    if not _connected(weights.w):
+    if not _connected(w):
         degenerate = "weight graph is disconnected; returning the minimum-norm minimizer"
-    elif not _features_span_full(features):
+    elif not span_full:
         degenerate = (
             "measurement vectors do not span the full space; subproblem is "
             "non-unique, returning the minimum-norm minimizer"
         )
     if degenerate is None:
-        z = _solve_unique(features, responses, L, subproblem_tol)
+        z = _solve_unique(features, responses, L, tol)
     else:
         warnings.warn(degenerate, NonUniqueSolutionWarning)
-        z = _solve_min_norm(features, responses, L, subproblem_tol)
+        z = _solve_min_norm(features, responses, L, tol)
         z = _project_rows(z, features, responses)
 
     if not _feasible(features, responses, z):
         raise NumericalError("constraint residual above tolerance after solve")
-    return EstimateField(z)
+    return z
 
 
 def _feasible(features, responses, z) -> bool:
@@ -497,13 +516,20 @@ def irls_solve(
     With ``k >= 2`` the iterates at t = 1, 2, 4, 8, ... are also clustered
     into ``k`` groups and refit; a refit field that the closed-form dual
     certificate proves optimal is returned at once.  Without ``k`` (or with
-    ``k = 1``) only the step rule and the cap stop the loop.
+    ``k = 1``) only the step rule and the cap stop the loop; a ``k`` outside
+    ``[1, m]`` raises :class:`DataValidationError` before any solve.
+
+    The feature span is checked once per solve, and each iteration makes
+    one distance pass that yields both its objective and the next weights;
+    the weights, built here, skip :class:`WeightMatrix` validation.
 
     Non-convergence is reported through ``trace.converged``, not raised.
     """
-    if k is not None and k < 1:
-        raise DataValidationError("k must be at least 1")
-    weights = WeightMatrix.uniform(dataset.m)
+    if k is not None and not 1 <= k <= dataset.m:
+        raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
+    features, responses = dataset.features, dataset.responses
+    span_full = _features_span_full(features)  # the features never change
+    w = WeightMatrix.uniform(dataset.m).w
     history: list[float] = []
     prev: EstimateField | None = None
     step: float | None = None
@@ -514,8 +540,11 @@ def irls_solve(
     next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
         iterations = t
-        Z = weighted_ls_step(dataset, weights, subproblem_tol=opts.subproblem_tol)
-        history.append(smoothed_objective(Z, opts.delta))
+        Z = EstimateField(
+            _weighted_ls(features, responses, w, opts.subproblem_tol, span_full)
+        )
+        w, objective = _reweight(Z.z, opts.delta)  # next weights, this objective
+        history.append(objective)
         max_feas = max(max_feas, _max_gap(dataset, Z))
         if prev is not None:
             step = recovery_error(Z, prev)
@@ -530,7 +559,6 @@ def irls_solve(
         if step is not None and step < opts.stop_tol:
             converged, stop_reason = True, "step"
             break
-        weights = update_weights(Z, opts.delta)
     trace = SolveTrace(
         iterations=iterations,
         objective_history=history,

@@ -124,3 +124,19 @@ def test_summary_lines_report_stop_reason(tmp_path, capsys, two_lines_path):
     assert main(["fit", str(two_lines_path), "--k", "2", "-o", str(fit)]) == 0
     assert json.loads(fit.read_text())["trace"]["stop_reason"] == "certified"
     assert "stop_reason=certified" in capsys.readouterr().out
+
+
+def test_fit_rejects_more_classes_than_rows(
+    tmp_path, capsys, monkeypatch, two_lines_path
+):
+    # two_lines has m = 40 rows: k = 41 is a data error, raised before solving
+    import mixreg.pipeline as pipeline_mod
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means reached: k was not rejected up front")
+
+    monkeypatch.setattr(pipeline_mod, "kmeans", no_kmeans)
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(two_lines_path), "--k", "41", "-o", str(out)]) == 2
+    assert "k must be in [1, 40]" in capsys.readouterr().err
+    assert not out.exists()

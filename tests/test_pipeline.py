@@ -39,3 +39,24 @@ def test_fit_pipeline_preprocessing_matches_manual(tone_like_path):
     )
     manual_report, _ = fit_pipeline(manual, k=2, seed=0)
     assert np.allclose(auto_report.betas_hat, manual_report.betas_hat, atol=1e-12)
+
+
+def test_certified_fit_takes_labels_from_the_field(monkeypatch, two_lines_path):
+    import mixreg.pipeline as pipeline_mod
+    from mixreg.cluster import refit_regression
+
+    def no_kmeans(*args, **kwargs):
+        raise AssertionError("k-means run on a certified field")
+
+    monkeypatch.setattr(pipeline_mod, "kmeans", no_kmeans)
+    dataset = load_csv(two_lines_path)
+    report, estimates = fit_pipeline(dataset, k=2, seed=0)
+    assert report.trace.stop_reason == "certified"
+    assert report.inertia == 0.0
+    perm, acc = match_labels(report.labels, dataset.labels, 2)
+    assert acc == 1.0
+    # the refit of the true partition, class for class
+    truth = refit_regression(dataset, dataset.labels).betas_hat
+    for p in range(2):
+        assert np.array_equal(report.betas_hat[p], truth[perm[p]])
+    assert len(np.unique(estimates.z, axis=0)) == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,3 +357,56 @@ def test_irls_exit_needs_k_at_least_two(sim1_instance, monkeypatch):
         assert trace.stop_reason == "step"
     with pytest.raises(DataValidationError):
         irls_solve(dataset, k=0)
+    with pytest.raises(DataValidationError):  # before any exit attempt
+        irls_solve(dataset, k=dataset.m + 1)
+
+
+def _reference_irls(ds, opts):
+    """The IRLS loop written with the public, validating building blocks."""
+    weights = WeightMatrix.uniform(ds.m)
+    history, prev, step, stop_reason = [], None, None, "cap"
+    for t in range(1, opts.max_iter + 1):
+        Z = weighted_ls_step(ds, weights, subproblem_tol=opts.subproblem_tol)
+        history.append(smoothed_objective(Z, opts.delta))
+        if prev is not None:
+            step = recovery_error(Z, prev)
+        prev = Z
+        if step is not None and step < opts.stop_tol:
+            stop_reason = "step"
+            break
+        weights = update_weights(Z, opts.delta)
+    return prev, t, history, step, stop_reason
+
+
+def _nonunique_warnings(run):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, sum(issubclass(w.category, NonUniqueSolutionWarning) for w in caught)
+
+
+@pytest.mark.parametrize("case", ["aperture", "fused", "span_deficient"])
+def test_irls_matches_public_building_blocks_exactly(case):
+    # the loop's private per-solve path must reproduce the public, validating
+    # one bit for bit: same iterates, objectives, step norms and stop
+    if case == "aperture":  # criterion-4 style: k = 3, stop_tol = 1e-8
+        ds, _ = gen_sim1(Sim1Config(k=3, d=6, n_per_class=16, alpha=0.12, seed=404))
+        opts = SolverOptions(stop_tol=1e-8)
+    elif case == "fused":  # the null-space fallback fires (see above)
+        ds = _criterion7_instance(13)
+        opts = SolverOptions(stop_tol=1e-10, max_iter=17)
+    else:  # every a_i in the (e1, e2) plane of R^3
+        rng = np.random.default_rng(8)
+        feats = np.column_stack([rng.standard_normal((10, 2)), np.zeros(10)])
+        ds = Dataset(feats, rng.standard_normal(10))
+        opts = SolverOptions(max_iter=12)
+    reference, ref_warned = _nonunique_warnings(lambda: _reference_irls(ds, opts))
+    ref_z, ref_iters, ref_hist, ref_step, ref_reason = reference
+    (Z, trace), warned = _nonunique_warnings(lambda: irls_solve(ds, opts))
+    assert np.array_equal(Z.z, ref_z.z)
+    assert np.array_equal(trace.objective_history, ref_hist)
+    assert trace.iterations == ref_iters
+    assert trace.final_step_norm == ref_step
+    assert trace.stop_reason == ref_reason
+    # one warning per subproblem although the span is checked once per solve
+    assert warned == ref_warned == (trace.iterations if case == "span_deficient" else 0)
