@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CertificateUndefinedError, DataValidationError
 from .geometry import _project_class, _resolve_directions, _spans
-from .model import Dataset, MixtureModel
+from .model import Dataset, MixtureModel, _frozen_array
 
 __all__ = ["Certificate", "CertificateVerdict", "build_certificate", "verify_certificate"]
 
@@ -54,9 +54,7 @@ class Certificate:
 
     def __post_init__(self):
         for name, dtype in (("nu", float), ("rows", float), ("labels", np.int64)):
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
 
     def xi_at(self, i: int, j: int) -> np.ndarray:
         if self.labels[i] != self.labels[j]:

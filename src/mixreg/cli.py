@@ -128,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--success-tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--unsafe", action="store_true",
-                   help="allow sweep values outside the standard ranges")
     p.add_argument("-o", "--output", required=True,
                    help="output prefix (.csv, .pgm, .json)")
     _add_solver_flags(p)
@@ -235,7 +233,6 @@ def _cmd_phase(args) -> int:
         success_tol=args.success_tol,
         base_seed=args.seed,
         solver=_solver_options(args),
-        unsafe=args.unsafe,
     )
     grid = run_phase(cfg, workers=args.workers)
     prefix = args.output

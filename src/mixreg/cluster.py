@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, UnderdeterminedFitWarning
-from .model import Dataset
+from .model import Dataset, _frozen_array
 
 __all__ = ["ClusteringResult", "RefitResult", "kmeans", "refit_regression", "match_labels"]
 
@@ -29,19 +29,8 @@ class ClusteringResult:
     inertia_history: tuple[float, ...]
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "centers", c)
-        lab = np.asarray(self.labels, dtype=np.int64)
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
-
-    def to_dict(self) -> dict:
-        return {
-            "centers": self.centers.tolist(),
-            "labels": self.labels.tolist(),
-            "inertia": self.inertia,
-        }
+        object.__setattr__(self, "centers", _frozen_array(self.centers))
+        object.__setattr__(self, "labels", _frozen_array(self.labels, np.int64))
 
 
 @dataclass(frozen=True)
@@ -50,18 +39,9 @@ class RefitResult:
     per_class_residual: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.betas_hat, dtype=float)
-        b.setflags(write=False)
-        object.__setattr__(self, "betas_hat", b)
-        r = np.asarray(self.per_class_residual, dtype=float)
-        r.setflags(write=False)
-        object.__setattr__(self, "per_class_residual", r)
-
-    def to_dict(self) -> dict:
-        return {
-            "betas_hat": self.betas_hat.tolist(),
-            "per_class_residual": self.per_class_residual.tolist(),
-        }
+        object.__setattr__(self, "betas_hat", _frozen_array(self.betas_hat))
+        residual = _frozen_array(self.per_class_residual)
+        object.__setattr__(self, "per_class_residual", residual)
 
 
 def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,6 +103,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise DataValidationError("points must be a nonempty m x d matrix")
+    if not np.all(np.isfinite(points)):
+        raise DataValidationError("points contain non-finite values")
     m = points.shape[0]
     if not 1 <= k <= m:
         raise DataValidationError(f"k must be in [1, {m}], got {k}")
@@ -151,6 +133,8 @@ def refit_regression(dataset: Dataset, labels) -> RefitResult:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (dataset.m,):
         raise DataValidationError("labels must have one entry per row")
+    if labels.min() < 0:
+        raise DataValidationError("labels must be nonnegative (0-based)")
     k = int(labels.max()) + 1
     betas = np.zeros((k, dataset.d))
     residuals = np.zeros(k)

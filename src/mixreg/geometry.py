@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, DegenerateModelError, OrthogonalPointError
-from .model import Dataset, MixtureModel
+from .model import Dataset, MixtureModel, _frozen_array
 
 __all__ = [
     "ConditionReport",
@@ -51,12 +51,9 @@ class ConditionReport:
     span_ok: np.ndarray
 
     def __post_init__(self):
-        br = np.asarray(self.balance_residuals, dtype=float)
-        br.setflags(write=False)
-        object.__setattr__(self, "balance_residuals", br)
-        ok = np.asarray(self.span_ok, dtype=bool)
-        ok.setflags(write=False)
-        object.__setattr__(self, "span_ok", ok)
+        taus = _frozen_array(self.balance_residuals)
+        object.__setattr__(self, "balance_residuals", taus)
+        object.__setattr__(self, "span_ok", _frozen_array(self.span_ok, bool))
 
     def to_dict(self) -> dict:
         lhs = self.separation_lhs
@@ -121,19 +118,7 @@ def orthonormal_complement_basis(v: np.ndarray) -> np.ndarray:
     a signed first basis vector; columns 2..d of the reflector span the
     complement.  For d = 1 the result has zero columns.
     """
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise DegenerateModelError("cannot build a complement basis for v = 0")
-    d = v.size
-    if d == 1:
-        return np.zeros((1, 0))
-    vhat = v / norm
-    sign = 1.0 if vhat[0] >= 0.0 else -1.0
-    u = vhat.copy()
-    u[0] += sign  # stable choice: never cancels
-    H = np.eye(d) - (2.0 / (u @ u)) * np.outer(u, u)
-    return H[:, 1:]
+    return orthonormal_complement_bases(np.asarray(v, dtype=float)[None])[0]
 
 
 def orthonormal_complement_bases(vs: np.ndarray) -> np.ndarray:
@@ -189,10 +174,11 @@ def _project_class(A: np.ndarray, v: np.ndarray):
     return np.where(coef >= 0.0, 1.0, -1.0), par_norm, ortho, orthogonal
 
 
-def _spans(A: np.ndarray) -> bool:
-    """Whether the rows of ``A`` span the full space (numerical rank d)."""
+def _spans(A: np.ndarray, rtol: float = RANK_RTOL) -> bool:
+    """Whether the rows of ``A`` span the full space: numerical rank d, with
+    singular values below ``rtol`` times the largest counted as zero."""
     svals = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(svals > RANK_RTOL * svals[0])) == A.shape[1]
+    return int(np.sum(svals > rtol * svals[0])) == A.shape[1]
 
 
 def check_conditions(dataset: Dataset, model: MixtureModel) -> ConditionReport:

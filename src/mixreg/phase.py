@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError, MixregError
-from .model import candidate_solution, recovery_error
+from .model import _frozen_array, candidate_solution, recovery_error
 from .solver import SolverOptions, irls_solve
-from .synth import SIM2_TAU_MAX, Sim1Config, Sim2Config, gen_sim1, gen_sim2
+from .synth import SIM1_ALPHA_MAX, SIM2_TAU_MAX, Sim1Config, Sim2Config, gen_sim1, gen_sim2
 
 __all__ = [
     "PhaseConfig",
@@ -36,15 +36,15 @@ __all__ = [
     "write_grid_pgm",
 ]
 
-APERTURE_RANGE = (0.0, 0.75)
+APERTURE_RANGE = (0.0, SIM1_ALPHA_MAX)
 IMBALANCE_RANGE = (0.0, SIM2_TAU_MAX)
 DEFAULT_SWEEP_POINTS = 16
 DEFAULT_D_VALUES = tuple(range(3, 16))
 
 
-def default_sweep(mode: str, points: int = DEFAULT_SWEEP_POINTS) -> tuple[float, ...]:
+def default_sweep(mode: str) -> tuple[float, ...]:
     lo, hi = APERTURE_RANGE if mode == "aperture" else IMBALANCE_RANGE
-    return tuple(float(v) for v in np.linspace(lo, hi, points))
+    return tuple(float(v) for v in np.linspace(lo, hi, DEFAULT_SWEEP_POINTS))
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class PhaseConfig:
     success_tol: float = 1e-5
     base_seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
-    unsafe: bool = False
 
     def __post_init__(self):
         if self.mode not in ("aperture", "imbalance"):
@@ -68,14 +67,10 @@ class PhaseConfig:
             raise DataValidationError("trials must be at least 1")
         if not self.success_tol > 0:
             raise DataValidationError("success_tol must be positive")
-        if not self.unsafe:
-            lo, hi = APERTURE_RANGE if self.mode == "aperture" else IMBALANCE_RANGE
-            bad = [v for v in self.sweep_values if not lo <= v <= hi]
-            if bad:
-                raise DataValidationError(
-                    f"sweep value {bad[0]} outside [{lo}, {hi}] "
-                    "(pass unsafe=True to override)"
-                )
+        lo, hi = APERTURE_RANGE if self.mode == "aperture" else IMBALANCE_RANGE
+        bad = [v for v in self.sweep_values if not lo <= v <= hi]
+        if bad:
+            raise DataValidationError(f"sweep value {bad[0]} outside [{lo}, {hi}]")
         if any(d < 3 for d in self.d_values):
             raise DataValidationError("three-class ensembles require d >= 3")
 
@@ -85,11 +80,17 @@ class TrialRecord:
     seed: int
     recovery_error: float | None
     iterations: int
-    converged: bool
-    failed: bool
     success: bool
     error: str | None = None  # "<ErrorClass>: <message>" when failed
     stop_reason: str | None = None  # the solve's SolveTrace.stop_reason
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason not in (None, "cap")
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
     def to_dict(self) -> dict:
         return {
@@ -116,9 +117,7 @@ class PhaseGrid:
     records: tuple  # records[d_index][sweep_index] -> tuple[TrialRecord, ...]
 
     def __post_init__(self):
-        f = np.asarray(self.fractions, dtype=float)
-        f.setflags(write=False)
-        object.__setattr__(self, "fractions", f)
+        object.__setattr__(self, "fractions", _frozen_array(self.fractions))
 
     def to_dict(self) -> dict:
         return {
@@ -164,8 +163,6 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             seed=seed,
             recovery_error=err,
             iterations=trace.iterations,
-            converged=trace.converged,
-            failed=False,
             success=bool(err < cfg.success_tol),
             stop_reason=trace.stop_reason,
         )
@@ -174,8 +171,6 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             seed=seed,
             recovery_error=None,
             iterations=0,
-            converged=False,
-            failed=True,
             success=False,
             error=f"{type(exc).__name__}: {exc}",
         )

@@ -9,6 +9,7 @@ import numpy as np
 
 from .cluster import RefitResult, kmeans, refit_regression
 from .dataio import preprocess_center_scale
+from .errors import DataValidationError
 from .model import Dataset, EstimateField
 from .solver import SolveTrace, SolverOptions, irls_solve
 
@@ -54,6 +55,8 @@ def fit_pipeline(
     ``center_column`` (0-based), when given, recenters and rescales that
     feature column before solving.
     """
+    if restarts < 1:  # checked up front: a certified solve skips k-means
+        raise DataValidationError("restarts must be at least 1")
     if center_column is not None:
         dataset = preprocess_center_scale(dataset, center_alpha, center_column)
     estimates, trace = irls_solve(dataset, opts, k=k)

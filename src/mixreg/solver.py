@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .certificate import build_certificate, verify_certificate
+from . import certificate
 from .cluster import kmeans, refit_regression
 from .errors import (
     DataValidationError,
@@ -61,8 +61,15 @@ from .errors import (
     NumericalError,
     UnderdeterminedFitWarning,
 )
-from .geometry import orthonormal_complement_bases
-from .model import Dataset, EstimateField, MixtureModel, recovery_error
+from .geometry import _spans, orthonormal_complement_bases
+from .model import (
+    Dataset,
+    EstimateField,
+    MixtureModel,
+    _as_matrix,
+    feasibility_residual,
+    recovery_error,
+)
 
 __all__ = [
     "SolverOptions",
@@ -76,6 +83,10 @@ __all__ = [
 
 # Condition-estimate floor: reciprocal condition numbers below this raise.
 RCOND_MIN = 1e-14
+# KKT stationarity guard on every subproblem solve (relative, per row).
+SUBPROBLEM_TOL = 1e-10
+# Relative singular-value cutoff of the feature-span test.
+SPAN_RTOL = 1e-12
 # k-means restarts of a certified-exit attempt
 _EXIT_RESTARTS = 5
 
@@ -90,15 +101,14 @@ class SolverOptions:
     delta: float = 1e-16
     max_iter: int = 150
     stop_tol: float = 1e-5
-    subproblem_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.delta > 0:
             raise DataValidationError("delta must be positive")
         if self.max_iter < 1:
             raise DataValidationError("max_iter must be at least 1")
-        if not (self.stop_tol > 0 and self.subproblem_tol > 0):
-            raise DataValidationError("tolerances must be positive")
+        if not self.stop_tol > 0:
+            raise DataValidationError("stop_tol must be positive")
 
 
 @dataclass
@@ -107,15 +117,19 @@ class SolveTrace:
 
     ``stop_reason`` is ``"certified"`` (the returned field carries a dual
     certificate), ``"step"`` (the step norm fell below ``stop_tol``) or
-    ``"cap"`` (``max_iter`` subproblems were solved).
+    ``"cap"`` (``max_iter`` subproblems were solved); the solve converged
+    unless it hit the cap.
     """
 
     iterations: int
     objective_history: list[float]
     final_step_norm: float | None
-    converged: bool
     max_feasibility_residual: float
     stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "cap"
 
     def to_dict(self) -> dict:
         return {
@@ -182,14 +196,12 @@ def update_weights(Z, delta: float) -> WeightMatrix:
     """``w_ij = (||z_i - z_j||^2 + delta)^(-1/2)`` with a zero diagonal."""
     if not delta > 0:
         raise DataValidationError("delta must be positive")
-    z = Z.z if isinstance(Z, EstimateField) else np.asarray(Z, dtype=float)
-    return WeightMatrix(_reweight(z, delta)[0])
+    return WeightMatrix(_reweight(_as_matrix(Z), delta)[0])
 
 
 def smoothed_objective(Z, delta: float) -> float:
     """``sum_{i != j} sqrt(||z_i - z_j||^2 + delta)`` (self-pairs excluded)."""
-    z = Z.z if isinstance(Z, EstimateField) else np.asarray(Z, dtype=float)
-    return _reweight(z, delta)[1]
+    return _reweight(_as_matrix(Z), delta)[1]
 
 
 def _connected(w: np.ndarray) -> bool:
@@ -208,15 +220,9 @@ def _connected(w: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _features_span_full(features: np.ndarray) -> bool:
-    svals = np.linalg.svd(features, compute_uv=False)
-    return svals.size == features.shape[1] and bool(
-        np.sum(svals > 1e-12 * svals[0]) == features.shape[1]
-    )
-
-
 def _sym_solve(M: np.ndarray, rhs: np.ndarray):
-    """Solve a symmetric indefinite system; returns (solution, factors).
+    """Solve a symmetric indefinite system; returns the solution and a
+    ``resolve(r)`` that solves with the same factors.
 
     Uses the Bunch-Kaufman factorization and raises if the reciprocal
     condition estimate falls below ``RCOND_MIN``.
@@ -230,9 +236,6 @@ def _sym_solve(M: np.ndarray, rhs: np.ndarray):
         raise NumericalError(
             f"KKT system too ill-conditioned (rcond estimate {rcond:.2e})"
         )
-    x, info = lapack.dsytrs(ldu, ipiv, rhs[:, None], lower=1)
-    if info != 0:
-        raise NumericalError(f"symmetric solve failed (info={info})")
 
     def resolve(r: np.ndarray) -> np.ndarray:
         y, bad = lapack.dsytrs(ldu, ipiv, r[:, None], lower=1)
@@ -240,7 +243,7 @@ def _sym_solve(M: np.ndarray, rhs: np.ndarray):
             raise NumericalError(f"symmetric solve failed (info={bad})")
         return y[:, 0]
 
-    return x[:, 0], resolve
+    return resolve(rhs), resolve
 
 
 def _laplacian(w: np.ndarray) -> np.ndarray:
@@ -370,7 +373,7 @@ def _solve_null_space(features, responses, L):
     return _from_null_space(z0, B, y)
 
 
-def _solve_min_norm(features, responses, L, tol):
+def _solve_min_norm(features, responses, L):
     """Minimum-norm minimizer of a non-unique subproblem.
 
     The null-space system is singular here; its least-squares solve picks
@@ -380,7 +383,7 @@ def _solve_min_norm(features, responses, L, tol):
     y, *_ = np.linalg.lstsq(H, -g, rcond=None)
     H_norm = np.abs(H).sum(axis=1).max(initial=0.0)
     scale = max(1.0, H_norm * np.abs(y).max(initial=0.0))
-    if float(np.max(np.abs(H @ y + g), initial=0.0)) > tol * scale:
+    if float(np.max(np.abs(H @ y + g), initial=0.0)) > SUBPROBLEM_TOL * scale:
         raise NumericalError("null-space normal equations are inconsistent")
     return _from_null_space(z0, B, y)
 
@@ -401,7 +404,7 @@ def _stationarity_defect(L, z, nu, features) -> float:
     return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
 
 
-def _solve_unique(features, responses, L, tol):
+def _solve_unique(features, responses, L):
     """Reduced solve first; the null-space solve when it breaks down or its
     projected result misses the stationarity guard."""
     try:
@@ -410,22 +413,17 @@ def _solve_unique(features, responses, L, tol):
         pass
     else:
         z = _project_rows(z, features, responses)
-        if _stationarity_defect(L, z, nu, features) <= tol:
+        if _stationarity_defect(L, z, nu, features) <= SUBPROBLEM_TOL:
             return z
     z = _project_rows(_solve_null_space(features, responses, L), features, responses)
     sq = np.einsum("ij,ij->i", features, features)
     nu = -np.einsum("ij,ij->i", features, 2.0 * (L @ z)) / sq
-    if _stationarity_defect(L, z, nu, features) > tol:
+    if _stationarity_defect(L, z, nu, features) > SUBPROBLEM_TOL:
         raise NumericalError("KKT stationarity residual above tolerance")
     return z
 
 
-def weighted_ls_step(
-    dataset: Dataset,
-    weights: WeightMatrix,
-    *,
-    subproblem_tol: float = 1e-10,
-) -> EstimateField:
+def weighted_ls_step(dataset: Dataset, weights: WeightMatrix) -> EstimateField:
     """Exact minimizer of the weighted quadratic under the row constraints.
 
     Non-unique subproblems (disconnected weight graph or rank-deficient
@@ -436,13 +434,12 @@ def weighted_ls_step(
         raise DataValidationError("weight matrix size does not match dataset")
     features = dataset.features
     z = _weighted_ls(
-        features, dataset.responses, weights.w, subproblem_tol,
-        _features_span_full(features),
+        features, dataset.responses, weights.w, _spans(features, SPAN_RTOL)
     )
     return EstimateField(z)
 
 
-def _weighted_ls(features, responses, w, tol, span_full: bool) -> np.ndarray:
+def _weighted_ls(features, responses, w, span_full: bool) -> np.ndarray:
     """:func:`weighted_ls_step` on raw arrays: ``w`` is a valid weight matrix
     of matching size and ``span_full`` says whether ``features`` span the
     space, both checked by the caller."""
@@ -457,10 +454,10 @@ def _weighted_ls(features, responses, w, tol, span_full: bool) -> np.ndarray:
             "non-unique, returning the minimum-norm minimizer"
         )
     if degenerate is None:
-        z = _solve_unique(features, responses, L, tol)
+        z = _solve_unique(features, responses, L)
     else:
         warnings.warn(degenerate, NonUniqueSolutionWarning)
-        z = _solve_min_norm(features, responses, L, tol)
+        z = _solve_min_norm(features, responses, L)
         z = _project_rows(z, features, responses)
 
     if not _feasible(features, responses, z):
@@ -493,18 +490,12 @@ def _certified_field(dataset: Dataset, z: np.ndarray, k: int) -> EstimateField |
                 return None
             labeled = Dataset(features, responses, labels)
             model = MixtureModel(betas, np.bincount(labels))
-            verdict = verify_certificate(
-                build_certificate(labeled, model), labeled, model
+            verdict = certificate.verify_certificate(
+                certificate.build_certificate(labeled, model), labeled, model
             )
         except (MixregError, UnderdeterminedFitWarning):
             return None
     return EstimateField(snapped) if verdict.certifies else None
-
-
-def _max_gap(dataset: Dataset, Z: EstimateField) -> float:
-    return float(np.max(np.abs(
-        np.einsum("ij,ij->i", dataset.features, Z.z) - dataset.responses
-    )))
 
 
 def irls_solve(
@@ -528,42 +519,36 @@ def irls_solve(
     if k is not None and not 1 <= k <= dataset.m:
         raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
     features, responses = dataset.features, dataset.responses
-    span_full = _features_span_full(features)  # the features never change
+    span_full = _spans(features, SPAN_RTOL)  # the features never change
     w = WeightMatrix.uniform(dataset.m).w
     history: list[float] = []
     prev: EstimateField | None = None
     step: float | None = None
-    converged = False
     stop_reason = "cap"
     max_feas = 0.0
-    iterations = 0
     next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
-        iterations = t
-        Z = EstimateField(
-            _weighted_ls(features, responses, w, opts.subproblem_tol, span_full)
-        )
+        Z = EstimateField(_weighted_ls(features, responses, w, span_full))
         w, objective = _reweight(Z.z, opts.delta)  # next weights, this objective
         history.append(objective)
-        max_feas = max(max_feas, _max_gap(dataset, Z))
+        max_feas = max(max_feas, feasibility_residual(Z, dataset))
         if prev is not None:
             step = recovery_error(Z, prev)
         if t == next_exit:
             next_exit *= 2
             certified = _certified_field(dataset, Z.z, k)
             if certified is not None:
-                max_feas = max(max_feas, _max_gap(dataset, certified))
-                prev, converged, stop_reason = certified, True, "certified"
+                max_feas = max(max_feas, feasibility_residual(certified, dataset))
+                prev, stop_reason = certified, "certified"
                 break
         prev = Z
         if step is not None and step < opts.stop_tol:
-            converged, stop_reason = True, "step"
+            stop_reason = "step"
             break
     trace = SolveTrace(
-        iterations=iterations,
+        iterations=t,  # max_iter >= 1, so the loop ran
         objective_history=history,
         final_step_norm=step,
-        converged=converged,
         max_feasibility_residual=max_feas,
         stop_reason=stop_reason,
     )

@@ -31,6 +31,7 @@ from .model import Dataset, MixtureModel
 
 __all__ = ["Sim1Config", "Sim2Config", "sample_ball", "sample_sphere", "gen_sim1", "gen_sim2"]
 
+SIM1_ALPHA_MAX = 0.75
 SIM2_ALPHA = 0.2
 SIM2_TAU_MAX = 0.062
 
@@ -52,8 +53,8 @@ class Sim1Config:
             raise DataValidationError("standard-basis components require d >= k")
         if self.n_per_class < 2 or self.n_per_class % 2:
             raise DataValidationError("n_per_class must be even (mirrored halves)")
-        if not 0.0 <= self.alpha <= 0.75:
-            raise DataValidationError("alpha must lie in [0, 0.75]")
+        if not 0.0 <= self.alpha <= SIM1_ALPHA_MAX:
+            raise DataValidationError(f"alpha must lie in [0, {SIM1_ALPHA_MAX}]")
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def test_phase_command_outputs(tmp_path):
     assert (tmp_path / "grid.pgm").exists()
     payload = json.loads((tmp_path / "grid.json").read_text())
     assert payload["fractions"] == [[1.0]]
-    # out-of-range sweep refused without --unsafe
+    # out-of-range sweep refused
     assert main([
         "phase", "--mode", "imbalance", "--d", "4", "--values", "0.5",
         "--trials", "1", "-o", str(prefix),
@@ -139,4 +139,15 @@ def test_fit_rejects_more_classes_than_rows(
     out = tmp_path / "fit.json"
     assert main(["fit", str(two_lines_path), "--k", "41", "-o", str(out)]) == 2
     assert "k must be in [1, 40]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_zero_restarts(tmp_path, capsys, two_lines_path):
+    # two_lines certifies, so without an up-front check k-means would never
+    # see restarts = 0 and the run would succeed
+    out = tmp_path / "fit.json"
+    assert main([
+        "fit", str(two_lines_path), "--k", "2", "--restarts", "0", "-o", str(out),
+    ]) == 2
+    assert "restarts must be at least 1" in capsys.readouterr().err
     assert not out.exists()

@@ -65,6 +65,12 @@ def test_kmeans_validation():
         kmeans(pts, 1, restarts=0)
 
 
+def test_kmeans_rejects_non_finite_points():
+    pts = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]])
+    with pytest.raises(DataValidationError, match="non-finite"):
+        kmeans(pts, 2)
+
+
 def test_refit_exact_interpolation():
     feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
     beta = np.array([0.5, -2.0])
@@ -73,6 +79,13 @@ def test_refit_exact_interpolation():
     result = refit_regression(ds, np.zeros(4, dtype=int))
     assert np.allclose(result.betas_hat[0], beta, atol=1e-10)
     assert result.per_class_residual[0] <= 1e-10
+
+
+def test_refit_rejects_negative_labels():
+    feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
+    ds = Dataset(feats, feats @ np.array([0.5, -2.0]))
+    with pytest.raises(DataValidationError, match="nonnegative"):
+        refit_regression(ds, np.array([-1, 0, 0, 0]))
 
 
 def test_refit_on_generated_data(sim1_instance):

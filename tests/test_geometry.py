@@ -124,7 +124,7 @@ def test_complement_bases_match_rowwise():
         Bs = orthonormal_complement_bases(vs)
         assert Bs.shape == (7, d, d - 1)
         for v, B in zip(vs, Bs):
-            assert np.allclose(B, orthonormal_complement_basis(v), rtol=0, atol=1e-15)
+            assert np.array_equal(B, orthonormal_complement_basis(v))
     with pytest.raises(DegenerateModelError):
         orthonormal_complement_bases(np.array([[1.0, 0.0], [0.0, 0.0]]))
 

@@ -47,7 +47,6 @@ def test_config_validation():
         PhaseConfig(mode="nope")
     with pytest.raises(DataValidationError):
         _tiny_cfg(sweep_values=(0.9,))
-    _tiny_cfg(sweep_values=(0.9,), unsafe=True)  # override allowed
     with pytest.raises(DataValidationError):
         _tiny_cfg(trials=0)
     with pytest.raises(DataValidationError):
@@ -91,17 +90,32 @@ def test_solver_failure_recorded_not_raised(monkeypatch):
 
 
 def test_trial_records_carry_stop_reason(monkeypatch):
-    payload = run_phase(_tiny_cfg(trials=2)).to_dict()
-    records = payload["cells"][0]["records"]
+    grid = run_phase(_tiny_cfg(trials=2))
+    assert all(r.converged and not r.failed for r in grid.records[0][0])
+    records = grid.to_dict()["cells"][0]["records"]
     assert [r["stop_reason"] for r in records] == ["certified", "certified"]
     assert all(r["iterations"] == 1 and r["success"] for r in records)
+    assert all(r["converged"] is True and r["failed"] is False for r in records)
+
+    # an imbalanced cell cannot certify, and two subproblems stop at the cap
+    capped = run_phase(_tiny_cfg(
+        mode="imbalance", sweep_values=(0.02,), trials=1,
+        solver=SolverOptions(max_iter=2),
+    ))
+    rec = capped.records[0][0][0]
+    assert rec.stop_reason == "cap" and not rec.converged and not rec.failed
+    assert rec.to_dict()["converged"] is False
 
     def boom(dataset, opts, k=None):
         raise NumericalError("forced failure")
 
     monkeypatch.setattr(phase_mod, "irls_solve", boom)
-    failed = run_phase(_tiny_cfg(trials=1)).to_dict()["cells"][0]["records"]
+    failed_grid = run_phase(_tiny_cfg(trials=1))
+    rec = failed_grid.records[0][0][0]
+    assert rec.failed and not rec.converged and rec.error is not None
+    failed = failed_grid.to_dict()["cells"][0]["records"]
     assert failed[0]["stop_reason"] is None
+    assert failed[0]["failed"] is True and failed[0]["converged"] is False
 
 
 def test_grid_outputs(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from mixreg.cluster import match_labels
 from mixreg.dataio import load_betas, load_csv, preprocess_center_scale
+from mixreg.errors import DataValidationError
 from mixreg.pipeline import fit_pipeline
 
 
@@ -18,6 +20,17 @@ def test_fit_pipeline_on_two_line_fixture(two_lines_path, two_lines_betas_path):
     payload = report.to_dict()
     assert payload["k"] == 2
     assert min(payload["labels"]) >= 1  # serialized labels are 1-based
+
+
+def test_fit_pipeline_rejects_restarts_before_solving(monkeypatch, two_lines_path):
+    import mixreg.pipeline as pipeline_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve reached: restarts was not rejected up front")
+
+    monkeypatch.setattr(pipeline_mod, "irls_solve", no_solve)
+    with pytest.raises(DataValidationError, match="restarts"):
+        fit_pipeline(load_csv(two_lines_path), k=2, restarts=0)
 
 
 def test_fit_pipeline_single_class():

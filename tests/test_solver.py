@@ -18,6 +18,7 @@ from mixreg.model import (
     recovery_error,
 )
 from mixreg.solver import (
+    SUBPROBLEM_TOL,
     SolverOptions,
     WeightMatrix,
     _laplacian,
@@ -175,7 +176,7 @@ def test_weighted_ls_step_fused_points_fallback():
     L = _laplacian(w.w)
     z, nu = _solve_reduced_kkt(ds.features, ds.responses, L)
     z = _project_rows(z, ds.features, ds.responses)
-    assert _stationarity_defect(L, z, nu, ds.features) > SolverOptions().subproblem_tol
+    assert _stationarity_defect(L, z, nu, ds.features) > SUBPROBLEM_TOL
     _assert_matches_eqp(ds, w)
 
 
@@ -258,7 +259,7 @@ def test_irls_recovers_separated_instance(sim1_instance):
         "iterations", "objective_history", "final_step_norm",
         "converged", "max_feasibility_residual", "stop_reason",
     }
-    assert payload["stop_reason"] == "step"
+    assert payload["stop_reason"] == "step" and payload["converged"] is True
 
 
 def test_irls_concurrent_lines_two_iterations():
@@ -299,7 +300,8 @@ def test_irls_permutation_equivariance():
 def test_irls_non_convergence_reported():
     dataset, _ = gen_sim1(Sim1Config(k=3, d=4, n_per_class=16, alpha=0.3, seed=2))
     _, trace = irls_solve(dataset, SolverOptions(max_iter=3))
-    assert not trace.converged
+    assert trace.stop_reason == "cap" and not trace.converged
+    assert trace.to_dict()["converged"] is False
     assert trace.iterations == 3
 
 
@@ -321,6 +323,7 @@ def test_irls_certified_exit_matches_plain_solve(criterion1_runs, criterion4_run
         dataset, model = rec["dataset"], rec["model"]
         estimate, trace = irls_solve(dataset, opts, k=model.k)
         assert trace.stop_reason == "certified" and trace.converged
+        assert trace.to_dict()["converged"] is True
         assert len(trace.objective_history) == trace.iterations
         assert trace.max_feasibility_residual >= feasibility_residual(estimate, dataset)
         assert recovery_error(estimate, rec["estimate"]) <= 1e-5
@@ -366,7 +369,7 @@ def _reference_irls(ds, opts):
     weights = WeightMatrix.uniform(ds.m)
     history, prev, step, stop_reason = [], None, None, "cap"
     for t in range(1, opts.max_iter + 1):
-        Z = weighted_ls_step(ds, weights, subproblem_tol=opts.subproblem_tol)
+        Z = weighted_ls_step(ds, weights)
         history.append(smoothed_objective(Z, opts.delta))
         if prev is not None:
             step = recovery_error(Z, prev)
