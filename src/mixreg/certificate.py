@@ -131,16 +131,13 @@ def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
 
 
 def verify_certificate(
-    cert: Certificate,
-    dataset: Dataset,
-    model: MixtureModel,
-    tol: float = DEFAULT_S1_TOL,
+    cert: Certificate, dataset: Dataset, model: MixtureModel
 ) -> CertificateVerdict:
     """Check stationarity, the strict gamma bound, and the span condition.
 
-    ``tol`` is relative: the stationarity defect is compared against
-    ``tol * max_i ||nu_i a_i||``.  The gamma test is strict (no slack); values
-    within 1e-9 below one are flagged as borderline.
+    The stationarity defect is compared against the relative bound
+    ``DEFAULT_S1_TOL * max_i ||nu_i a_i||``.  The gamma test is strict (no
+    slack); values within 1e-9 below one are flagged as borderline.
     """
     weighted = _resolve_directions(dataset, model)
     if not np.array_equal(cert.labels, dataset.labels):
@@ -165,11 +162,11 @@ def verify_certificate(
     scale = float(np.max(np.abs(cert.nu) * np.linalg.norm(dataset.features, axis=1)))
     strict = cert.gamma < 1.0
     borderline = strict and cert.gamma >= 1.0 - GAMMA_BORDERLINE
-    certifies = (s1_residual <= tol * scale) and strict and spans_ok
+    certifies = (s1_residual <= DEFAULT_S1_TOL * scale) and strict and spans_ok
     return CertificateVerdict(
         s1_residual=s1_residual,
         s1_scale=scale,
-        tol=tol,
+        tol=DEFAULT_S1_TOL,
         gamma=cert.gamma,
         strict_gamma=strict,
         borderline_gamma=borderline,

@@ -11,6 +11,7 @@ certificate failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .errors import (
 )
 from .geometry import check_conditions
 from .model import MixtureModel, feasibility_residual
-from .phase import DEFAULT_D_VALUES, PhaseConfig, run_phase, write_grid_csv, write_grid_pgm
+from .phase import PhaseConfig, run_phase, write_grid_csv, write_grid_pgm
 from .pipeline import fit_pipeline
 from .solver import SolverOptions, irls_solve
 from .synth import Sim1Config, Sim2Config, gen_sim1, gen_sim2
@@ -36,6 +37,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+
+# Keyword defaults read once at import, before anything can rebind these
+# module names (a tracer may swap them for bare ``*args, **kwargs`` wrappers).
+_FIT = inspect.signature(fit_pipeline).parameters
+_RUN_PHASE = inspect.signature(run_phase).parameters
 
 
 class _UsageError(Exception):
@@ -49,18 +56,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delta", type=float, default=1e-16, help="smoothing constant")
-    p.add_argument("--max-iter", type=int, default=150, help="iteration cap")
-    p.add_argument("--stop-tol", type=float, default=1e-5,
+    p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter,
+                   help="iteration cap")
+    p.add_argument("--stop-tol", type=float, default=SolverOptions.stop_tol,
                    help="normalized step-norm stopping tolerance")
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(
-        delta=args.delta,
-        max_iter=args.max_iter,
-        stop_tol=args.stop_tol,
-    )
+    return SolverOptions(max_iter=args.max_iter, stop_tol=args.stop_tol)
 
 
 def _write_estimates_csv(path, z: np.ndarray, labels=None) -> None:
@@ -101,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="labeled CSV")
     p.add_argument("--betas", required=True, help="model JSON (from gen --betas-out)")
     p.add_argument("-o", "--output", default=None, help="verdict JSON path")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative stationarity tolerance")
 
     p = sub.add_parser("fit", help="solve, cluster, and refit per class")
     p.add_argument("data", help="input CSV")
@@ -110,24 +111,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="report JSON path")
     p.add_argument("--labels-out", default=None, help="labels CSV path")
     p.add_argument("--estimates-out", default=None, help="per-point estimates CSV")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--center-column", type=int, default=None,
+    p.add_argument("--restarts", type=int, default=_FIT["restarts"].default)
+    p.add_argument("--seed", type=int, default=_FIT["seed"].default)
+    p.add_argument("--center-column", type=int,
                    help="1-based feature column to center and rescale")
-    p.add_argument("--center-alpha", type=float, default=1.0,
+    p.add_argument("--center-alpha", type=float,
+                   default=_FIT["center_alpha"].default,
                    help="scale applied after centering")
     _add_solver_flags(p)
 
     p = sub.add_parser("phase", help="run a recovery-fraction grid")
     p.add_argument("--mode", choices=("aperture", "imbalance"), required=True)
-    p.add_argument("--d", type=int, nargs="+", default=None,
+    p.add_argument("--d", type=int, nargs="+", default=PhaseConfig.d_values,
                    help="dimension values (default 3..15)")
-    p.add_argument("--values", type=float, nargs="+", default=None,
+    p.add_argument("--values", type=float, nargs="+",
+                   default=PhaseConfig.sweep_values,
                    help="sweep values (default: 16 evenly spaced)")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--success-tol", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", type=int, default=PhaseConfig.trials)
+    p.add_argument("--seed", type=int, default=PhaseConfig.base_seed, help="base seed")
+    p.add_argument("--workers", type=int, default=_RUN_PHASE["workers"].default,
+                   help="worker processes, at most one per cell")
     p.add_argument("-o", "--output", required=True,
                    help="output prefix (.csv, .pgm, .json)")
     _add_solver_flags(p)
@@ -173,7 +176,7 @@ def _cmd_certify(args) -> int:
     payload: dict = {"conditions": conditions.to_dict()}
     try:
         cert = build_certificate(dataset, model)
-        verdict = verify_certificate(cert, dataset, model, tol=args.tol)
+        verdict = verify_certificate(cert, dataset, model)
         payload["certificate"] = verdict.to_dict()
         code = EXIT_OK
     except CertificateUndefinedError as exc:
@@ -227,10 +230,9 @@ def _cmd_fit(args) -> int:
 def _cmd_phase(args) -> int:
     cfg = PhaseConfig(
         mode=args.mode,
-        d_values=tuple(args.d) if args.d else DEFAULT_D_VALUES,
-        sweep_values=tuple(args.values) if args.values else (),
+        d_values=args.d,
+        sweep_values=args.values,
         trials=args.trials,
-        success_tol=args.success_tol,
         base_seed=args.seed,
         solver=_solver_options(args),
     )

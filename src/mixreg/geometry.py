@@ -40,6 +40,12 @@ RANK_RTOL = 1e-10
 ORTHO_RTOL = 1e-14
 
 
+def _json_float(x) -> float | str:
+    """``x`` as a float, or ``"inf"``: strict JSON has no infinity."""
+    x = float(x)
+    return x if math.isfinite(x) else "inf"
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Outcome of the three condition checks on a labeled instance."""
@@ -56,12 +62,11 @@ class ConditionReport:
         object.__setattr__(self, "span_ok", _frozen_array(self.span_ok, bool))
 
     def to_dict(self) -> dict:
-        lhs = self.separation_lhs
         return {
-            "separation_lhs": lhs if math.isfinite(lhs) else "inf",
+            "separation_lhs": _json_float(self.separation_lhs),
             "separation_rhs": self.separation_rhs,
             "well_separated": self.well_separated,
-            "balance_residuals": [float(t) for t in self.balance_residuals],
+            "balance_residuals": [_json_float(t) for t in self.balance_residuals],
             "span_ok": [bool(s) for s in self.span_ok],
         }
 

@@ -6,7 +6,7 @@ value is the aperture of the balanced three-class ensemble (16 points per
 class, so m = 48); in *imbalance* mode it is the class-three shift of the
 ``n_p = 4 d`` ensemble.  A trial succeeds when the normalized Frobenius
 distance between the solver output and the candidate solution is below the
-success tolerance.
+fixed threshold ``SUCCESS_TOL = 1e-5``.
 
 Each trial's seed is a pure function of (base_seed, d, sweep index, trial
 index), so cells can run in any order or in parallel and reproduce exactly.
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataValidationError, MixregError
-from .model import _frozen_array, candidate_solution, recovery_error
+from .model import candidate_solution, recovery_error
 from .solver import SolverOptions, irls_solve
 from .synth import SIM1_ALPHA_MAX, SIM2_TAU_MAX, Sim1Config, Sim2Config, gen_sim1, gen_sim2
 
@@ -40,6 +40,8 @@ APERTURE_RANGE = (0.0, SIM1_ALPHA_MAX)
 IMBALANCE_RANGE = (0.0, SIM2_TAU_MAX)
 DEFAULT_SWEEP_POINTS = 16
 DEFAULT_D_VALUES = tuple(range(3, 16))
+# A trial succeeds when its normalized recovery error is below this.
+SUCCESS_TOL = 1e-5
 
 
 def default_sweep(mode: str) -> tuple[float, ...]:
@@ -53,7 +55,6 @@ class PhaseConfig:
     d_values: tuple[int, ...] = DEFAULT_D_VALUES
     sweep_values: tuple[float, ...] = ()
     trials: int = 10
-    success_tol: float = 1e-5
     base_seed: int = 0
     solver: SolverOptions = field(default_factory=SolverOptions)
 
@@ -65,8 +66,6 @@ class PhaseConfig:
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in sweep))
         if self.trials < 1:
             raise DataValidationError("trials must be at least 1")
-        if not self.success_tol > 0:
-            raise DataValidationError("success_tol must be positive")
         lo, hi = APERTURE_RANGE if self.mode == "aperture" else IMBALANCE_RANGE
         bad = [v for v in self.sweep_values if not lo <= v <= hi]
         if bad:
@@ -107,36 +106,40 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class PhaseGrid:
-    mode: str
-    d_values: tuple[int, ...]
-    sweep_values: tuple[float, ...]
-    trials: int
-    success_tol: float
-    base_seed: int
-    fractions: np.ndarray  # shape (len(d_values), len(sweep_values))
+    config: PhaseConfig
     records: tuple  # records[d_index][sweep_index] -> tuple[TrialRecord, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "fractions", _frozen_array(self.fractions))
+    @property
+    def successes(self) -> np.ndarray:
+        """Successful trials per cell, shape (len(d_values), len(sweep_values))."""
+        counts = [[sum(r.success for r in cell) for cell in row] for row in self.records]
+        shape = (len(self.config.d_values), len(self.config.sweep_values))
+        return np.array(counts, dtype=int).reshape(shape)
+
+    @property
+    def fractions(self) -> np.ndarray:
+        return self.successes / self.config.trials
 
     def to_dict(self) -> dict:
+        cfg = self.config
+        successes = self.successes
         return {
-            "mode": self.mode,
-            "d_values": list(self.d_values),
-            "sweep_values": list(self.sweep_values),
-            "trials": self.trials,
-            "success_tol": self.success_tol,
-            "base_seed": self.base_seed,
+            "mode": cfg.mode,
+            "d_values": list(cfg.d_values),
+            "sweep_values": list(cfg.sweep_values),
+            "trials": cfg.trials,
+            "success_tol": SUCCESS_TOL,
+            "base_seed": cfg.base_seed,
             "fractions": self.fractions.tolist(),
             "cells": [
                 {
                     "d": d,
                     "value": v,
-                    "successes": int(round(self.fractions[di, si] * self.trials)),
+                    "successes": int(successes[di, si]),
                     "records": [r.to_dict() for r in self.records[di][si]],
                 }
-                for di, d in enumerate(self.d_values)
-                for si, v in enumerate(self.sweep_values)
+                for di, d in enumerate(cfg.d_values)
+                for si, v in enumerate(cfg.sweep_values)
             ],
         }
 
@@ -163,7 +166,7 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             seed=seed,
             recovery_error=err,
             iterations=trace.iterations,
-            success=bool(err < cfg.success_tol),
+            success=bool(err < SUCCESS_TOL),
             stop_reason=trace.stop_reason,
         )
     except MixregError as exc:
@@ -184,44 +187,39 @@ def _run_cell(args) -> tuple[int, int, tuple[TrialRecord, ...]]:
 
 
 def run_phase(cfg: PhaseConfig, workers: int = 1) -> PhaseGrid:
-    """Run every (d, sweep value, trial) cell; failures never abort the sweep."""
+    """Run every (d, sweep value, trial) cell; failures never abort the sweep.
+
+    ``workers`` must be at least 1; no more processes than cells are started.
+    """
+    if workers < 1:
+        raise DataValidationError("workers must be at least 1")
     tasks = [
         (cfg, di, si)
         for di in range(len(cfg.d_values))
         for si in range(len(cfg.sweep_values))
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks))
     else:
         results = [_run_cell(t) for t in tasks]
-    n_d, n_s = len(cfg.d_values), len(cfg.sweep_values)
-    fractions = np.zeros((n_d, n_s))
-    records = [[None] * n_s for _ in range(n_d)]
+    n_s = len(cfg.sweep_values)
+    records = [[None] * n_s for _ in cfg.d_values]
     for di, si, recs in results:
         records[di][si] = recs
-        fractions[di, si] = sum(r.success for r in recs) / cfg.trials
-    return PhaseGrid(
-        mode=cfg.mode,
-        d_values=cfg.d_values,
-        sweep_values=cfg.sweep_values,
-        trials=cfg.trials,
-        success_tol=cfg.success_tol,
-        base_seed=cfg.base_seed,
-        fractions=fractions,
-        records=tuple(tuple(row) for row in records),
-    )
+    return PhaseGrid(config=cfg, records=tuple(tuple(row) for row in records))
 
 
 def write_grid_csv(grid: PhaseGrid, path) -> None:
-    value_name = "alpha" if grid.mode == "aperture" else "tau"
+    cfg = grid.config
+    value_name = "alpha" if cfg.mode == "aperture" else "tau"
     lines = [f"d,{value_name},fraction,successes,trials"]
-    for di, d in enumerate(grid.d_values):
-        for si, v in enumerate(grid.sweep_values):
-            frac = float(grid.fractions[di, si])
-            lines.append(
-                f"{d},{float(v)!r},{frac!r},{int(round(frac * grid.trials))},{grid.trials}"
-            )
+    successes = grid.successes
+    for di, d in enumerate(cfg.d_values):
+        for si, v in enumerate(cfg.sweep_values):
+            n = int(successes[di, si])
+            lines.append(f"{d},{float(v)!r},{n / cfg.trials!r},{n},{cfg.trials}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -230,11 +228,11 @@ def write_grid_pgm(grid: PhaseGrid, path) -> None:
 
     Rows are sweep values (top row = first value), columns are dimensions.
     """
-    height = len(grid.sweep_values)
-    width = len(grid.d_values)
+    fractions = grid.fractions
+    width, height = fractions.shape
     rows = []
     for si in range(height):
         rows.append(
-            " ".join(str(int(round(255 * grid.fractions[di, si]))) for di in range(width))
+            " ".join(str(int(round(255 * fractions[di, si]))) for di in range(width))
         )
     Path(path).write_text(f"P2\n{width} {height}\n255\n" + "\n".join(rows) + "\n")

@@ -8,7 +8,8 @@ solved by alternating two steps from uniform initial weights:
 
 1. an equality-constrained weighted least-squares subproblem
    ``argmin sum_{i,j} w_ij ||z_i - z_j||^2  s.t.  a_i^T z_i = b_i``;
-2. the weight update ``w_ij = (||z_i - z_j||^2 + delta)^(-1/2)``.
+2. the weight update ``w_ij = (||z_i - z_j||^2 + DELTA)^(-1/2)``, with the
+   fixed smoothing constant ``DELTA = 1e-16``.
 
 Each subproblem is solved exactly, by one order of solves chosen only by
 what the solves observe:
@@ -22,7 +23,7 @@ what the solves observe:
   a condition-estimate floor and refined twice.
 * **Null-space fallback.**  When the reduced solve breaks down, or its
   result misses the stationarity guard (fused points put weights near
-  ``delta**-0.5`` beside O(1) ones and ``L^+`` loses accuracy), each row is
+  ``DELTA**-0.5`` beside O(1) ones and ``L^+`` loses accuracy), each row is
   written as ``z_i = z0_i + B_i y_i`` with ``B_i`` an orthonormal basis of
   the complement of ``a_i``.  The positive definite ``m (d-1)`` system in
   ``y`` is factored by Cholesky, checked against the same floor and refined
@@ -87,24 +88,20 @@ RCOND_MIN = 1e-14
 SUBPROBLEM_TOL = 1e-10
 # Relative singular-value cutoff of the feature-span test.
 SPAN_RTOL = 1e-12
+# Smoothing constant of the weight update.
+DELTA = 1e-16
 # k-means restarts of a certified-exit attempt
 _EXIT_RESTARTS = 5
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Solver parameters.
+    """Iteration cap and step-norm stopping tolerance."""
 
-    ``delta`` is the smoothing constant in the weight update.
-    """
-
-    delta: float = 1e-16
     max_iter: int = 150
     stop_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise DataValidationError("delta must be positive")
         if self.max_iter < 1:
             raise DataValidationError("max_iter must be at least 1")
         if not self.stop_tol > 0:
@@ -529,7 +526,7 @@ def irls_solve(
     next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
         Z = EstimateField(_weighted_ls(features, responses, w, span_full))
-        w, objective = _reweight(Z.z, opts.delta)  # next weights, this objective
+        w, objective = _reweight(Z.z, DELTA)  # next weights, this objective
         history.append(objective)
         max_feas = max(max_feas, feasibility_residual(Z, dataset))
         if prev is not None:

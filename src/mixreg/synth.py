@@ -128,27 +128,9 @@ def _mirrored_rows(vhat: np.ndarray, Q: np.ndarray, xs: np.ndarray) -> np.ndarra
     return np.vstack([vhat + shifts, vhat - shifts])
 
 
-def gen_sim1(cfg: Sim1Config) -> tuple[Dataset, MixtureModel]:
-    """Generate the aperture ensemble; balanced by construction."""
-    model = _standard_model(cfg.k, cfg.d, cfg.n_per_class)
-    half = cfg.n_per_class // 2
-    features = []
-    for p in range(cfg.k):
-        rng = _class_rng(cfg.seed, p)
-        v = weighted_direction(p, model)
-        vhat = v / np.linalg.norm(v)
-        Q = orthonormal_complement_basis(v)
-        xs = np.stack([sample_ball(cfg.d - 1, cfg.alpha, rng) for _ in range(half)])
-        features.append(_mirrored_rows(vhat, Q, xs))
-    feats = np.vstack(features)
-    labels = np.repeat(np.arange(cfg.k), cfg.n_per_class)
-    responses = np.einsum("ij,ij->i", feats, model.betas[labels])
-    return Dataset(feats, responses, labels), model
-
-
-def gen_sim2(cfg: Sim2Config) -> tuple[Dataset, MixtureModel]:
-    """Generate the imbalance ensemble; class three is shifted by one shared
-    sphere sample so its balance residual equals ``tau`` exactly."""
+def _generate(cfg, tau: float | None = None) -> tuple[Dataset, MixtureModel]:
+    """Mirrored classes for either config; with ``tau``, class three is
+    shifted by one shared sphere sample of that radius."""
     model = _standard_model(cfg.k, cfg.d, cfg.n_per_class)
     half = cfg.n_per_class // 2
     features = []
@@ -159,8 +141,8 @@ def gen_sim2(cfg: Sim2Config) -> tuple[Dataset, MixtureModel]:
         Q = orthonormal_complement_basis(v)
         xs = np.stack([sample_ball(cfg.d - 1, cfg.alpha, rng) for _ in range(half)])
         rows = _mirrored_rows(vhat, Q, xs)
-        if p == 2:
-            w = sample_sphere(cfg.d - 1, cfg.tau, rng)
+        if p == 2 and tau is not None:
+            w = sample_sphere(cfg.d - 1, tau, rng)
             rows = rows + Q @ w
             # the shift is orthogonal to v, so no projection sign can flip
             assert np.all(rows @ v > 0.0)
@@ -169,3 +151,14 @@ def gen_sim2(cfg: Sim2Config) -> tuple[Dataset, MixtureModel]:
     labels = np.repeat(np.arange(cfg.k), cfg.n_per_class)
     responses = np.einsum("ij,ij->i", feats, model.betas[labels])
     return Dataset(feats, responses, labels), model
+
+
+def gen_sim1(cfg: Sim1Config) -> tuple[Dataset, MixtureModel]:
+    """Generate the aperture ensemble; balanced by construction."""
+    return _generate(cfg)
+
+
+def gen_sim2(cfg: Sim2Config) -> tuple[Dataset, MixtureModel]:
+    """Generate the imbalance ensemble; class three is shifted by one shared
+    sphere sample so its balance residual equals ``tau`` exactly."""
+    return _generate(cfg, cfg.tau)

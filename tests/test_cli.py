@@ -1,8 +1,20 @@
+import inspect
 import json
 
 import numpy as np
+import pytest
 
-from mixreg.cli import main
+from mixreg.cli import _solver_options, _UsageError, build_parser, main
+from mixreg.phase import PhaseConfig, run_phase
+from mixreg.pipeline import fit_pipeline
+from mixreg.solver import SolverOptions
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_gen_solve_certify_fit_round_trip(tmp_path):
@@ -27,7 +39,7 @@ def test_gen_solve_certify_fit_round_trip(tmp_path):
 
     verdict = tmp_path / "verdict.json"
     assert main(["certify", str(data), "--betas", str(betas), "-o", str(verdict)]) == 0
-    report = json.loads(verdict.read_text())
+    report = _strict_json(verdict.read_text())
     assert report["certificate"]["certifies"] is True
     assert report["conditions"]["well_separated"] is True
 
@@ -53,6 +65,10 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a_1,b\n0.0,1.0\n")
     assert main(["solve", str(bad), "-o", str(tmp_path / "o.csv")]) == 2
+    assert main([
+        "phase", "--mode", "aperture", "--d", "3", "--values", "0.1",
+        "--workers", "0", "-o", str(tmp_path / "grid"),
+    ]) == 2
 
 
 def test_certify_orthogonal_point_structured_verdict(tmp_path):
@@ -74,7 +90,9 @@ def test_certify_orthogonal_point_structured_verdict(tmp_path):
     verdict = tmp_path / "verdict.json"
     code = main(["certify", str(data), "--betas", str(betas), "-o", str(verdict)])
     assert code == 3  # distinct from the I/O error code 2
-    payload = json.loads(verdict.read_text())
+    payload = _strict_json(verdict.read_text())  # no bare Infinity
+    assert payload["conditions"]["separation_lhs"] == "inf"
+    assert payload["conditions"]["balance_residuals"][0] == "inf"
     assert payload["certificate"]["defined"] is False
     assert payload["certificate"]["certifies"] is False
     assert payload["certificate"]["row_index"] == 1
@@ -151,3 +169,48 @@ def test_fit_rejects_zero_restarts(tmp_path, capsys, two_lines_path):
     ]) == 2
     assert "restarts must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "x.csv", "-o", "y.csv"])
+    assert _solver_options(solve) == SolverOptions()
+
+    fit = parser.parse_args(["fit", "x.csv", "--k", "2", "-o", "f.json"])
+    assert _solver_options(fit) == SolverOptions()
+    params = inspect.signature(fit_pipeline).parameters
+    for name in ("restarts", "seed", "center_column", "center_alpha"):
+        assert getattr(fit, name) == params[name].default
+
+    phase = parser.parse_args(["phase", "--mode", "imbalance", "-o", "p"])
+    assert PhaseConfig(
+        mode="imbalance", d_values=phase.d, sweep_values=phase.values,
+        trials=phase.trials, base_seed=phase.seed, solver=_solver_options(phase),
+    ) == PhaseConfig(mode="imbalance")
+    assert phase.workers == inspect.signature(run_phase).parameters["workers"].default
+
+    # fixed constants, not flags
+    for argv in (
+        ["solve", "x.csv", "-o", "y.csv", "--delta", "1e-12"],
+        ["certify", "x.csv", "--betas", "b.json", "--tol", "1e-6"],
+        ["phase", "--mode", "aperture", "-o", "p", "--success-tol", "1e-3"],
+    ):
+        with pytest.raises(_UsageError):
+            parser.parse_args(argv)
+
+
+def test_parser_builds_with_library_names_wrapped(monkeypatch):
+    """Timing wrappers that hide the signature leave the defaults intact."""
+    from mixreg import cli
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(cli, "fit_pipeline", wrapper)
+    monkeypatch.setattr(cli, "run_phase", wrapper)
+    parser = build_parser()
+    fit = parser.parse_args(["fit", "x.csv", "--k", "2", "-o", "f.json"])
+    assert fit.restarts == inspect.signature(fit_pipeline).parameters["restarts"].default
+    phase = parser.parse_args(["phase", "--mode", "aperture", "-o", "p"])
+    assert phase.workers == inspect.signature(run_phase).parameters["workers"].default
+

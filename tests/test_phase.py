@@ -4,6 +4,7 @@ import pytest
 import mixreg.phase as phase_mod
 from mixreg.errors import DataValidationError, NumericalError
 from mixreg.phase import (
+    SUCCESS_TOL,
     PhaseConfig,
     default_sweep,
     run_phase,
@@ -147,8 +148,12 @@ def test_grid_outputs(tmp_path):
     assert pixels == expected
 
     payload = grid.to_dict()
+    assert grid.config is cfg
     assert payload["mode"] == "aperture"
+    assert payload["success_tol"] == SUCCESS_TOL == 1e-5
     assert len(payload["cells"]) == 4
+    assert [c["successes"] for c in payload["cells"]] == grid.successes.ravel().tolist()
+    assert np.array_equal(grid.fractions, grid.successes / 2)
     assert all({"d", "value", "successes", "records"} <= set(c) for c in payload["cells"])
 
 
@@ -156,3 +161,34 @@ def test_grid_with_custom_solver_options():
     cfg = _tiny_cfg(trials=1, solver=SolverOptions(max_iter=2))
     grid = run_phase(cfg)
     assert grid.records[0][0][0].iterations <= 2
+
+
+def test_workers_validated_and_capped_at_cell_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the requested pool size; runs the cells in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(phase_mod, "ProcessPoolExecutor", RecordingPool)
+    for workers in (0, -3):
+        with pytest.raises(DataValidationError, match="workers must be at least 1"):
+            run_phase(_tiny_cfg(trials=1), workers=workers)
+    assert sizes == []
+    one_cell = run_phase(_tiny_cfg(trials=1), workers=5000)
+    assert sizes == []  # a single cell runs in this process
+    two_cells = run_phase(_tiny_cfg(sweep_values=(0.1, 0.2), trials=1), workers=5000)
+    assert sizes == [2]
+    assert one_cell.fractions.tolist() == [[1.0]]
+    assert two_cells.fractions.tolist() == [[1.0, 1.0]]

@@ -18,6 +18,7 @@ from mixreg.model import (
     recovery_error,
 )
 from mixreg.solver import (
+    DELTA,
     SUBPROBLEM_TOL,
     SolverOptions,
     WeightMatrix,
@@ -48,8 +49,6 @@ def _random_weights(rng, m):
 
 
 def test_solver_options_validation():
-    with pytest.raises(DataValidationError):
-        SolverOptions(delta=0.0)
     with pytest.raises(DataValidationError):
         SolverOptions(max_iter=0)
     with pytest.raises(DataValidationError):
@@ -171,7 +170,7 @@ def test_weighted_ls_step_fused_points_fallback():
     ds = _criterion7_instance(13)
     Z, trace = irls_solve(ds, SolverOptions(stop_tol=1e-10, max_iter=17))
     assert trace.iterations == 17
-    w = update_weights(Z, SolverOptions().delta)
+    w = update_weights(Z, DELTA)
     assert w.w.max() > 1e7
     L = _laplacian(w.w)
     z, nu = _solve_reduced_kkt(ds.features, ds.responses, L)
@@ -370,14 +369,14 @@ def _reference_irls(ds, opts):
     history, prev, step, stop_reason = [], None, None, "cap"
     for t in range(1, opts.max_iter + 1):
         Z = weighted_ls_step(ds, weights)
-        history.append(smoothed_objective(Z, opts.delta))
+        history.append(smoothed_objective(Z, DELTA))
         if prev is not None:
             step = recovery_error(Z, prev)
         prev = Z
         if step is not None and step < opts.stop_tol:
             stop_reason = "step"
             break
-        weights = update_weights(Z, opts.delta)
+        weights = update_weights(Z, DELTA)
     return prev, t, history, step, stop_reason
 
 
