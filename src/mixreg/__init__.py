@@ -23,16 +23,13 @@ from .errors import (
     MixregError,
     NonUniqueSolutionWarning,
     NumericalError,
-    OrthogonalPointError,
     UnderdeterminedFitWarning,
 )
 from .geometry import (
     ConditionReport,
     check_conditions,
-    direction_between,
     orthonormal_complement_basis,
-    separation_ratio,
-    weighted_direction,
+    weighted_directions,
 )
 from .model import (
     Dataset,
@@ -74,17 +71,14 @@ __all__ = [
     "MixregError",
     "DataValidationError",
     "DegenerateModelError",
-    "OrthogonalPointError",
     "CertificateUndefinedError",
     "NumericalError",
     "NonUniqueSolutionWarning",
     "UnderdeterminedFitWarning",
     "ConditionReport",
     "check_conditions",
-    "direction_between",
     "orthonormal_complement_basis",
-    "separation_ratio",
-    "weighted_direction",
+    "weighted_directions",
     "Dataset",
     "EstimateField",
     "MixtureModel",

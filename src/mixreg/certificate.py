@@ -49,12 +49,23 @@ class Certificate:
 
     nu: np.ndarray
     rows: np.ndarray
-    gamma: float
     labels: np.ndarray
 
     def __post_init__(self):
         for name, dtype in (("nu", float), ("rows", float), ("labels", np.int64)):
             object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+
+    @property
+    def gamma(self) -> float:
+        """``max ||xi_ij||`` over every within-class pair."""
+        gamma = 0.0
+        for p in np.unique(self.labels):
+            R = self.rows[self.labels == p]
+            # direct row differences: a Gram-matrix form loses the digits
+            # the borderline flag needs
+            diffs = R[:, None, :] - R[None, :, :]
+            gamma = max(gamma, float(np.max(np.linalg.norm(diffs, axis=2))) / R.shape[0])
+        return gamma
 
     def xi_at(self, i: int, j: int) -> np.ndarray:
         if self.labels[i] != self.labels[j]:
@@ -76,12 +87,25 @@ class CertificateVerdict:
 
     s1_residual: float
     s1_scale: float
-    tol: float
     gamma: float
-    strict_gamma: bool
-    borderline_gamma: bool
     spans_ok: bool
-    certifies: bool
+
+    @property
+    def tol(self) -> float:
+        return DEFAULT_S1_TOL
+
+    @property
+    def strict_gamma(self) -> bool:
+        return self.gamma < 1.0
+
+    @property
+    def borderline_gamma(self) -> bool:
+        return self.strict_gamma and self.gamma >= 1.0 - GAMMA_BORDERLINE
+
+    @property
+    def certifies(self) -> bool:
+        stationary = self.s1_residual <= self.tol * self.s1_scale
+        return stationary and self.strict_gamma and self.spans_ok
 
     def to_dict(self) -> dict:
         return {
@@ -107,7 +131,6 @@ def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
     m = dataset.m
     nu = np.zeros(m)
     rows = np.zeros_like(dataset.features)
-    gamma = 0.0
     for p in range(model.k):
         members = dataset.class_members(p)
         signs, par_norm, ortho, orthogonal = _project_class(
@@ -122,12 +145,8 @@ def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
             )
         n_rest = m - members.size
         nu[members] = signs * np.linalg.norm(weighted[p]) * n_rest / par_norm
-        R = rows[members] = nu[members][:, None] * ortho
-        # max ||xi_ij|| over the class's pairs, from direct row differences
-        # (a Gram-matrix form loses the digits the borderline flag needs)
-        diffs = R[:, None, :] - R[None, :, :]
-        gamma = max(gamma, float(np.max(np.linalg.norm(diffs, axis=2))) / members.size)
-    return Certificate(nu=nu, rows=rows, gamma=gamma, labels=dataset.labels)
+        rows[members] = nu[members][:, None] * ortho
+    return Certificate(nu=nu, rows=rows, labels=dataset.labels)
 
 
 def verify_certificate(
@@ -160,16 +179,6 @@ def verify_certificate(
         spans_ok = spans_ok and _spans(dataset.features[members])
 
     scale = float(np.max(np.abs(cert.nu) * np.linalg.norm(dataset.features, axis=1)))
-    strict = cert.gamma < 1.0
-    borderline = strict and cert.gamma >= 1.0 - GAMMA_BORDERLINE
-    certifies = (s1_residual <= DEFAULT_S1_TOL * scale) and strict and spans_ok
     return CertificateVerdict(
-        s1_residual=s1_residual,
-        s1_scale=scale,
-        tol=DEFAULT_S1_TOL,
-        gamma=cert.gamma,
-        strict_gamma=strict,
-        borderline_gamma=borderline,
-        spans_ok=spans_ok,
-        certifies=certifies,
+        s1_residual=s1_residual, s1_scale=scale, gamma=cert.gamma, spans_ok=spans_ok
     )

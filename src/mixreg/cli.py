@@ -45,6 +45,11 @@ _FIT = inspect.signature(fit_pipeline).parameters
 _RUN_PHASE = inspect.signature(run_phase).parameters
 
 
+# ``gen`` flags per ensemble, with their defaults; the other ensemble's flags
+# are a usage error, not silently ignored.
+_GEN_FLAGS = {1: {"k": 3, "n_per_class": 16, "alpha": 0.1}, 2: {"tau": 0.0}}
+
+
 class _UsageError(Exception):
     pass
 
@@ -85,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim", type=int, choices=(1, 2), required=True,
                    help="1 = aperture ensemble, 2 = imbalance ensemble")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, default=3, help="classes (aperture mode)")
-    p.add_argument("--n-per-class", type=int, default=16,
-                   help="points per class (aperture mode)")
-    p.add_argument("--alpha", type=float, default=0.1, help="aperture radius")
-    p.add_argument("--tau", type=float, default=0.0, help="imbalance radius")
+    p.add_argument("--k", type=int, help="classes (--sim 1 only; default 3)")
+    p.add_argument("--n-per-class", type=int,
+                   help="points per class (--sim 1 only; default 16)")
+    p.add_argument("--alpha", type=float,
+                   help="aperture radius (--sim 1 only; default 0.1)")
+    p.add_argument("--tau", type=float, help="imbalance radius (--sim 2 only; default 0)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True, help="dataset CSV path")
     p.add_argument("--betas-out", default=None, help="write the model as JSON")
@@ -138,13 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.sim == 1:
-        dataset, model = gen_sim1(Sim1Config(
-            k=args.k, d=args.d, n_per_class=args.n_per_class,
-            alpha=args.alpha, seed=args.seed,
-        ))
-    else:
-        dataset, model = gen_sim2(Sim2Config(d=args.d, tau=args.tau, seed=args.seed))
+    foreign = [
+        "--" + name.replace("_", "-")
+        for sim, flags in _GEN_FLAGS.items() if sim != args.sim
+        for name in flags if getattr(args, name) is not None
+    ]
+    if foreign:
+        raise _UsageError(
+            f"mixreg gen: error: {', '.join(foreign)} not accepted with --sim {args.sim}"
+        )
+    values = {
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in _GEN_FLAGS[args.sim].items()
+    }
+    gen, config = (gen_sim1, Sim1Config) if args.sim == 1 else (gen_sim2, Sim2Config)
+    dataset, model = gen(config(d=args.d, seed=args.seed, **values))
     save_csv(dataset, args.output)
     if args.betas_out:
         save_betas(model, args.betas_out)

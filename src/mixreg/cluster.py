@@ -130,18 +130,12 @@ def refit_regression(dataset: Dataset, labels) -> RefitResult:
     Rank-deficient classes get the minimum-norm solution and raise
     :class:`UnderdeterminedFitWarning`.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (dataset.m,):
-        raise DataValidationError("labels must have one entry per row")
-    if labels.min() < 0:
-        raise DataValidationError("labels must be nonnegative (0-based)")
-    k = int(labels.max()) + 1
+    labeled = Dataset(dataset.features, dataset.responses, labels)
+    k = labeled.num_classes
     betas = np.zeros((k, dataset.d))
     residuals = np.zeros(k)
     for p in range(k):
-        members = np.flatnonzero(labels == p)
-        if members.size == 0:
-            raise DataValidationError(f"class {p} has no members")
+        members = labeled.class_members(p)
         A = dataset.features[members]
         b = dataset.responses[members]
         beta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)

@@ -15,11 +15,6 @@ class DegenerateModelError(MixregError):
     e.g. duplicate component vectors or direction queries with k = 1."""
 
 
-class OrthogonalPointError(MixregError):
-    """Raised when a measurement vector has no component along the reference
-    direction, which makes a projection ratio infinite."""
-
-
 class CertificateUndefinedError(MixregError):
     """Raised when the closed-form certificate does not exist for an instance.
 

@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataValidationError, DegenerateModelError, OrthogonalPointError
+from .errors import DataValidationError, DegenerateModelError
 from .model import Dataset, MixtureModel, _frozen_array
 
 __all__ = [
     "ConditionReport",
-    "direction_between",
-    "weighted_direction",
-    "separation_ratio",
+    "weighted_directions",
     "orthonormal_complement_basis",
     "orthonormal_complement_bases",
     "check_conditions",
@@ -52,7 +50,6 @@ class ConditionReport:
 
     separation_lhs: float
     separation_rhs: float
-    well_separated: bool
     balance_residuals: np.ndarray
     span_ok: np.ndarray
 
@@ -60,6 +57,10 @@ class ConditionReport:
         taus = _frozen_array(self.balance_residuals)
         object.__setattr__(self, "balance_residuals", taus)
         object.__setattr__(self, "span_ok", _frozen_array(self.span_ok, bool))
+
+    @property
+    def well_separated(self) -> bool:
+        return bool(self.separation_lhs < self.separation_rhs)
 
     def to_dict(self) -> dict:
         return {
@@ -71,49 +72,23 @@ class ConditionReport:
         }
 
 
-def direction_between(beta_p: np.ndarray, beta_q: np.ndarray) -> np.ndarray:
-    """Unit vector from ``beta_q`` toward ``beta_p``."""
-    diff = np.asarray(beta_p, dtype=float) - np.asarray(beta_q, dtype=float)
-    norm = np.linalg.norm(diff)
-    if norm == 0.0:
-        raise DegenerateModelError("direction between identical components")
-    return diff / norm
+def weighted_directions(model: MixtureModel) -> np.ndarray:
+    """Weighted class directions, one row per component: ``(k, d)``.
 
-
-def weighted_direction(p: int, model: MixtureModel) -> np.ndarray:
-    """Class-size-weighted average of the directions from the other
-    components toward component ``p``.  Undefined for k = 1."""
+    Row ``p`` is the class-size-weighted average over ``q != p`` of the unit
+    vectors from ``beta_q`` toward ``beta_p``.  Undefined for k = 1 and for a
+    pair whose difference has zero norm (subnormal betas can underflow).
+    """
     if model.k < 2:
         raise DegenerateModelError("weighted direction undefined for k = 1")
-    total = 0.0
-    acc = np.zeros(model.d)
-    for q in range(model.k):
-        if q == p:
-            continue
-        n_q = float(model.sizes[q])
-        acc += n_q * direction_between(model.betas[p], model.betas[q])
-        total += n_q
-    return acc / total
-
-
-def separation_ratio(a: np.ndarray, v: np.ndarray) -> float:
-    """``||P_perp a|| / ||P_v a||`` where ``P_v`` projects onto span{v}.
-
-    Zero when ``a`` is parallel to ``v``; raises when ``a`` has no component
-    along ``v`` at all.
-    """
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
-        raise DegenerateModelError("separation ratio requires a nonzero direction")
-    vhat = v / vnorm
-    coef = float(vhat @ a)
-    par = coef * vhat
-    par_norm = abs(coef)
-    if par_norm <= ORTHO_RTOL * np.linalg.norm(a):
-        raise OrthogonalPointError("measurement orthogonal to class direction")
-    return float(np.linalg.norm(a - par) / par_norm)
+    diffs = model.betas[:, None, :] - model.betas[None, :, :]
+    norms = np.linalg.norm(diffs, axis=2)
+    np.fill_diagonal(norms, 1.0)  # the q = p term is a zero vector, not 0/0
+    if np.any(norms == 0.0):
+        raise DegenerateModelError("direction between identical components")
+    sizes = model.sizes.astype(float)
+    acc = (sizes[None, :, None] * (diffs / norms[:, :, None])).sum(axis=1)
+    return acc / (sizes.sum() - sizes)[:, None]
 
 
 def orthonormal_complement_basis(v: np.ndarray) -> np.ndarray:
@@ -160,7 +135,7 @@ def _resolve_directions(dataset: Dataset, model: MixtureModel) -> np.ndarray:
             f"label counts {counts.tolist()} disagree with model sizes "
             f"{model.sizes.tolist()}"
         )
-    return np.stack([weighted_direction(p, model) for p in range(model.k)])
+    return weighted_directions(model)
 
 
 def _project_class(A: np.ndarray, v: np.ndarray):
@@ -213,7 +188,6 @@ def check_conditions(dataset: Dataset, model: MixtureModel) -> ConditionReport:
     return ConditionReport(
         separation_lhs=lhs,
         separation_rhs=rhs,
-        well_separated=bool(lhs < rhs),
         balance_residuals=taus,
         span_ok=span_ok,
     )

@@ -79,9 +79,12 @@ class TrialRecord:
     seed: int
     recovery_error: float | None
     iterations: int
-    success: bool
     error: str | None = None  # "<ErrorClass>: <message>" when failed
     stop_reason: str | None = None  # the solve's SolveTrace.stop_reason
+
+    @property
+    def success(self) -> bool:
+        return self.recovery_error is not None and self.recovery_error < SUCCESS_TOL
 
     @property
     def converged(self) -> bool:
@@ -166,7 +169,6 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             seed=seed,
             recovery_error=err,
             iterations=trace.iterations,
-            success=bool(err < SUCCESS_TOL),
             stop_reason=trace.stop_reason,
         )
     except MixregError as exc:
@@ -174,7 +176,6 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
             seed=seed,
             recovery_error=None,
             iterations=0,
-            success=False,
             error=f"{type(exc).__name__}: {exc}",
         )
 

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixreg.certificate import build_certificate, verify_certificate
+from mixreg.certificate import Certificate, build_certificate, verify_certificate
 from mixreg.errors import CertificateUndefinedError, DataValidationError
-from mixreg.geometry import separation_ratio, weighted_direction
+from mixreg.geometry import _project_class, check_conditions, weighted_directions
 from mixreg.model import Dataset, MixtureModel, candidate_solution, recovery_error
 from mixreg.solver import irls_solve
 from mixreg.synth import Sim1Config, Sim2Config, gen_sim1, gen_sim2
@@ -26,7 +28,7 @@ def test_xi_antisymmetry_and_orthogonality(sim1_instance):
     dataset, model = sim1_instance
     cert = build_certificate(dataset, model)
     members = dataset.class_members(0)
-    v = weighted_direction(0, model)
+    v = weighted_directions(model)[0]
     vhat = v / np.linalg.norm(v)
     i, j = int(members[0]), int(members[5])
     assert np.array_equal(cert.xi_at(j, i), -cert.xi_at(i, j))
@@ -41,9 +43,8 @@ def test_xi_antisymmetry_and_orthogonality(sim1_instance):
 def test_scaled_orthogonal_parts_cancel(sim1_instance):
     dataset, model = sim1_instance
     cert = build_certificate(dataset, model)
-    for p in range(model.k):
+    for p, v in enumerate(weighted_directions(model)):
         members = dataset.class_members(p)
-        v = weighted_direction(p, model)
         vhat = v / np.linalg.norm(v)
         A = dataset.features[members]
         ortho = A - np.outer(A @ vhat, vhat)
@@ -71,12 +72,11 @@ def test_verdict_on_separated_instance(sim1_instance):
 def test_gamma_bound_chain(sim1_instance):
     dataset, model = sim1_instance
     cert = build_certificate(dataset, model)
-    for p in range(model.k):
+    for p, v in enumerate(weighted_directions(model)):
         members = dataset.class_members(p)
-        v = weighted_direction(p, model)
-        ratios = [
-            separation_ratio(dataset.features[i], v) for i in members
-        ]
+        _, par_norm, ortho, orthogonal = _project_class(dataset.features[members], v)
+        assert not np.any(orthogonal)
+        ratios = np.linalg.norm(ortho, axis=1) / par_norm
         n_p = members.size
         bound = 2.0 * max(ratios) * dataset.m * np.linalg.norm(v) / n_p
         gamma_p = max(
@@ -94,7 +94,7 @@ def test_imbalanced_instance_fails_stationarity():
     assert not verdict.certifies
     assert verdict.s1_residual > verdict.tol * verdict.s1_scale
     # the defect is the residual balance sum: ||v|| * (m - n_p) * tau
-    v = weighted_direction(2, model)
+    v = weighted_directions(model)[2]
     expected = np.linalg.norm(v) * (dataset.m - 20) * 0.05
     assert verdict.s1_residual == pytest.approx(expected, rel=1e-8)
 
@@ -130,24 +130,46 @@ def test_orthogonal_point_raises_with_index():
     assert err.value.row_index == 1
 
 
-def test_borderline_gamma_flagged():
-    # mirrored pairs with ||xi|| = 2t per class-one pair; t is tuned so the
-    # largest multiplier vector lands just below the strict bound
-    t = 0.5 - 5e-11
+def _mirrored_instance(t):
+    # class one: mirrored pair v1 +- t q, so its one xi has norm 2t
     v1 = np.array([1.0, -1.0]) / np.sqrt(2)
     q = np.array([1.0, 1.0]) / np.sqrt(2)
     feats = np.vstack([v1 + t * q, v1 - t * q, -v1 + 0.05 * q, -v1 - 0.05 * q])
     labels = np.array([0, 0, 1, 1])
     betas = np.eye(2)
     resp = np.einsum("ij,ij->i", feats, betas[labels])
-    dataset = Dataset(feats, resp, labels)
-    model = MixtureModel(betas, np.array([2, 2]))
+    return Dataset(feats, resp, labels), MixtureModel(betas, np.array([2, 2]))
+
+
+def test_borderline_gamma_flagged():
+    # t is tuned so the class-one xi, of norm 2t, lands just below the
+    # strict bound
+    dataset, model = _mirrored_instance(0.5 - 5e-11)
     cert = build_certificate(dataset, model)
     assert 1.0 - 1e-9 <= cert.gamma < 1.0
     verdict = verify_certificate(cert, dataset, model)
     assert verdict.strict_gamma
     assert verdict.borderline_gamma
     assert verdict.certifies  # strict bound still holds, only flagged
+
+
+def test_gamma_is_measured_from_the_rows():
+    # gamma is a function of the multipliers, so a certificate cannot carry
+    # a gamma its rows do not give
+    dataset, model = _mirrored_instance(0.6)
+    cert = build_certificate(dataset, model)
+    assert cert.gamma == pytest.approx(1.2, rel=1e-12)
+    with pytest.raises(TypeError):
+        Certificate(nu=cert.nu, rows=cert.rows, gamma=0.5, labels=cert.labels)
+    with pytest.raises(TypeError):
+        dataclasses.replace(cert, gamma=0.5)
+    rebuilt = Certificate(nu=cert.nu, rows=cert.rows, labels=cert.labels)
+    verdict = verify_certificate(rebuilt, dataset, model)
+    assert verdict.gamma == cert.gamma
+    assert verdict.s1_residual <= verdict.tol * verdict.s1_scale
+    assert verdict.spans_ok
+    assert not verdict.strict_gamma
+    assert not verdict.certifies
 
 
 def test_certificate_soundness_small():
@@ -198,9 +220,9 @@ def test_certificate_matches_pairwise_reference(instance):
     # reference: the explicit per-pair sums and norms
     s1_residual = 0.0
     gamma = 0.0
-    for p in range(model.k):
+    for p, v in enumerate(weighted_directions(model)):
         members = [int(i) for i in dataset.class_members(p)]
-        target = (dataset.m - len(members)) * weighted_direction(p, model)
+        target = (dataset.m - len(members)) * v
         for i in members:
             total = np.zeros(d)
             for j in members:
@@ -213,3 +235,25 @@ def test_certificate_matches_pairwise_reference(instance):
             s1_residual = max(s1_residual, float(np.linalg.norm(defect)))
     assert abs(verdict.s1_residual - s1_residual) <= 1e-12 * verdict.s1_scale
     assert cert.gamma == pytest.approx(gamma, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_labeled_instances())
+def test_stationarity_defect_is_the_balance_residual(instance):
+    # sum_j xi_ij = rows[i] - mean(rows), so every point's defect is the
+    # class's mean row, whose norm is ||v_p|| (m - n_p) tau_p
+    d, sizes, seed = instance
+    rng = np.random.default_rng(seed)
+    betas = rng.standard_normal((len(sizes), d))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    feats = rng.standard_normal((labels.size, d))
+    dataset = Dataset(feats, np.einsum("ij,ij->i", feats, betas[labels]), labels)
+    model = MixtureModel(betas, np.array(sizes))
+    verdict = verify_certificate(build_certificate(dataset, model), dataset, model)
+    taus = check_conditions(dataset, model).balance_residuals
+    V = weighted_directions(model)
+    expected = max(
+        np.linalg.norm(V[p]) * (dataset.m - model.sizes[p]) * taus[p]
+        for p in range(model.k)
+    )
+    assert abs(verdict.s1_residual - expected) <= 1e-12 * verdict.s1_scale

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from mixreg.cli import _solver_options, _UsageError, build_parser, main
+from mixreg.dataio import load_csv
 from mixreg.phase import PhaseConfig, run_phase
 from mixreg.pipeline import fit_pipeline
 from mixreg.solver import SolverOptions
+from mixreg.synth import Sim1Config, Sim2Config, gen_sim1, gen_sim2
 
 
 def _strict_json(text):
@@ -69,6 +71,27 @@ def test_cli_exit_codes(tmp_path):
         "phase", "--mode", "aperture", "--d", "3", "--values", "0.1",
         "--workers", "0", "-o", str(tmp_path / "grid"),
     ]) == 2
+
+
+def test_gen_refuses_flags_of_the_other_ensemble(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    misuses = [
+        (["--sim", "2", "--k", "5", "--n-per-class", "4", "--alpha", "0.7"],
+         "--k, --n-per-class, --alpha"),
+        (["--sim", "1", "--tau", "0.05"], "--tau"),
+    ]
+    for flags, named in misuses:
+        assert main(["gen", *flags, "--d", "4", "-o", str(out)]) == 1
+        assert f"{named} not accepted with" in capsys.readouterr().err
+        assert not out.exists()
+
+    assert main(["gen", "--sim", "2", "--d", "4", "--tau", "0.02", "-o", str(out)]) == 0
+    expected, _ = gen_sim2(Sim2Config(d=4, tau=0.02, seed=0))
+    assert np.array_equal(load_csv(out).features, expected.features)
+    # --sim 1 without its flags keeps k = 3, 16 points per class, alpha = 0.1
+    assert main(["gen", "--sim", "1", "--d", "4", "-o", str(out)]) == 0
+    expected, _ = gen_sim1(Sim1Config(k=3, d=4, n_per_class=16, alpha=0.1, seed=0))
+    assert np.array_equal(load_csv(out).features, expected.features)
 
 
 def test_certify_orthogonal_point_structured_verdict(tmp_path):

@@ -2,54 +2,62 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixreg.errors import (
-    DataValidationError,
-    DegenerateModelError,
-    OrthogonalPointError,
-)
+from mixreg.errors import DataValidationError, DegenerateModelError
 from mixreg.geometry import (
+    _project_class,
     check_conditions,
-    direction_between,
     orthonormal_complement_bases,
     orthonormal_complement_basis,
-    separation_ratio,
-    weighted_direction,
+    weighted_directions,
 )
 from mixreg.model import Dataset, MixtureModel
 from mixreg.synth import Sim2Config, gen_sim2
 
 
+def _ratio(a, v):
+    """One point's separation ratio ``||P_perp a|| / ||P_v a||``, or ``inf``
+    when ``_project_class`` marks it orthogonal to ``v``."""
+    _, par_norm, ortho, orthogonal = _project_class(np.asarray(a, float)[None], v)
+    return math.inf if orthogonal[0] else float(np.linalg.norm(ortho[0]) / par_norm[0])
+
+
 def test_direction_between_basic():
-    v = direction_between(np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
-    assert np.allclose(v, [1.0, 0.0])
-    v = direction_between(np.eye(3)[0], np.eye(3)[1])
-    assert np.allclose(v, np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
+    # with two classes each direction is the pair direction between the betas
+    V = weighted_directions(MixtureModel(np.array([[1.0, 0.0], [-1.0, 0.0]]), [5, 3]))
+    assert np.allclose(V, [[1.0, 0.0], [-1.0, 0.0]])
+    V = weighted_directions(MixtureModel(np.eye(3)[:2], [5, 3]))
+    assert np.allclose(V[0], np.array([1.0, -1.0, 0.0]) / np.sqrt(2))
 
 
 def test_direction_between_antisymmetry_exact():
+    # equal sizes: the two pair directions are exact negatives
     rng = np.random.default_rng(0)
     for _ in range(20):
-        bp, bq = rng.standard_normal((2, 4))
-        fwd = direction_between(bp, bq)
-        bwd = direction_between(bq, bp)
-        assert np.array_equal(fwd, -bwd)
+        V = weighted_directions(MixtureModel(rng.standard_normal((2, 4)), [7, 7]))
+        assert np.array_equal(V[0], -V[1])
 
 
 def test_direction_between_degenerate():
+    # distinct subnormal components whose difference has zero norm
+    tiny = MixtureModel(np.array([[5e-324, 0.0], [0.0, 0.0]]), np.array([2, 2]))
     with pytest.raises(DegenerateModelError):
-        direction_between(np.ones(2), np.ones(2))
+        weighted_directions(tiny)
 
 
 def test_weighted_direction_two_classes():
     model = MixtureModel(np.eye(2), np.array([5, 3]))
-    v = weighted_direction(0, model)
-    assert np.allclose(v, direction_between(model.betas[0], model.betas[1]))
+    V = weighted_directions(model)
+    diff = model.betas[0] - model.betas[1]
+    assert np.allclose(V[0], diff / np.linalg.norm(diff))
+    assert np.allclose(V[1], -diff / np.linalg.norm(diff))
 
 
 def test_weighted_direction_three_equal_classes():
     model = MixtureModel(np.eye(3), np.array([16, 16, 16]))
-    v = weighted_direction(0, model)
+    v = weighted_directions(model)[0]
     expected = np.array([2.0, -1.0, -1.0]) / (2.0 * np.sqrt(2))
     assert np.allclose(v, expected, atol=1e-14)
     assert np.linalg.norm(v) == pytest.approx(np.sqrt(3) / 2, rel=1e-14)
@@ -58,19 +66,34 @@ def test_weighted_direction_three_equal_classes():
 def test_weighted_direction_rejects_k1():
     model = MixtureModel(np.array([[1.0, 0.0]]), np.array([4]))
     with pytest.raises(DegenerateModelError):
-        weighted_direction(0, model)
+        weighted_directions(model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_weighted_directions_match_pairwise_sum(k, d, seed):
+    rng = np.random.default_rng(seed)
+    model = MixtureModel(rng.standard_normal((k, d)), rng.integers(1, 30, size=k))
+    V = weighted_directions(model)
+    assert V.shape == (k, d)
+    for p in range(k):
+        acc = np.zeros(d)
+        for q in range(k):
+            if q != p:
+                diff = model.betas[p] - model.betas[q]
+                acc += model.sizes[q] * diff / np.linalg.norm(diff)
+        expected = acc / (model.m - model.sizes[p])
+        np.testing.assert_allclose(V[p], expected, rtol=1e-14, atol=1e-14)
 
 
 def test_separation_ratio_cases():
-    assert separation_ratio(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == 0.0
-    assert separation_ratio(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert _ratio([2.0, 0.0], np.array([5.0, 0.0])) == 0.0
+    assert _ratio([1.0, 1.0], np.array([1.0, 0.0])) == pytest.approx(1.0)
     for t in (0.25, -3.0):
-        a = np.array([1.0, t, 0.0])
-        assert separation_ratio(a, np.eye(3)[0]) == pytest.approx(abs(t))
-    with pytest.raises(OrthogonalPointError):
-        separation_ratio(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-    with pytest.raises(DegenerateModelError):
-        separation_ratio(np.array([1.0, 0.0]), np.zeros(2))
+        assert _ratio([1.0, t, 0.0], np.eye(3)[0]) == pytest.approx(abs(t))
+    assert math.isinf(_ratio([0.0, 1.0], np.array([1.0, 0.0])))
+    # a projection at rounding level counts as orthogonal too
+    assert math.isinf(_ratio([1e-15, 1.0], np.array([1.0, 0.0])))
 
 
 def test_separation_ratio_pythagoras():
@@ -82,7 +105,7 @@ def test_separation_ratio_pythagoras():
         par = abs(float(vhat @ a))
         if par < 1e-9:
             continue
-        ratio = separation_ratio(a, v)
+        ratio = _ratio(a, v)
         lhs = ratio**2 * par**2
         rhs = float(a @ a) - par**2
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from mixreg.errors import DataValidationError
-from mixreg.geometry import check_conditions, weighted_direction
+from mixreg.geometry import check_conditions, weighted_directions
 from mixreg.model import candidate_solution, feasibility_residual
 from mixreg.synth import (
     Sim1Config,
@@ -53,8 +53,7 @@ def test_sample_sphere_angle_uniformity():
 
 def test_gen_sim1_zero_aperture():
     dataset, model = gen_sim1(Sim1Config(k=3, d=4, n_per_class=4, alpha=0.0, seed=0))
-    for p in range(3):
-        v = weighted_direction(p, model)
+    for p, v in enumerate(weighted_directions(model)):
         vhat = v / np.linalg.norm(v)
         assert np.allclose(dataset.features[dataset.class_members(p)], vhat)
     report = check_conditions(dataset, model)
