@@ -76,8 +76,10 @@ def weighted_directions(model: MixtureModel) -> np.ndarray:
     """Weighted class directions, one row per component: ``(k, d)``.
 
     Row ``p`` is the class-size-weighted average over ``q != p`` of the unit
-    vectors from ``beta_q`` toward ``beta_p``.  Undefined for k = 1 and for a
-    pair whose difference has zero norm (subnormal betas can underflow).
+    vectors from ``beta_q`` toward ``beta_p``.  Undefined for k = 1, for a
+    pair whose difference has zero norm (subnormal betas can underflow) and
+    when a row is zero, as for betas ``0, e1, -e1`` with equal sizes: that
+    class has no direction to project onto.
     """
     if model.k < 2:
         raise DegenerateModelError("weighted direction undefined for k = 1")
@@ -88,7 +90,13 @@ def weighted_directions(model: MixtureModel) -> np.ndarray:
         raise DegenerateModelError("direction between identical components")
     sizes = model.sizes.astype(float)
     acc = (sizes[None, :, None] * (diffs / norms[:, :, None])).sum(axis=1)
-    return acc / (sizes.sum() - sizes)[:, None]
+    directions = acc / (sizes.sum() - sizes)[:, None]
+    zero = np.flatnonzero(np.linalg.norm(directions, axis=1) == 0.0)
+    if zero.size:
+        raise DegenerateModelError(
+            f"weighted direction of component {int(zero[0])} is zero"
+        )
+    return directions
 
 
 def orthonormal_complement_basis(v: np.ndarray) -> np.ndarray:

@@ -17,21 +17,29 @@ what the solves observe:
 * **Reduced solve, always first.**  The stationarity condition
   ``2 L Z = diag(lam) A_rows``, with ``L`` the weighted graph Laplacian, is
   eliminated through the Laplacian pseudoinverse, leaving an (m + d)
-  symmetric-indefinite system in the multipliers plus the free mean
-  translation.  ``L^+`` comes from one Cholesky factor of
-  ``L + (s/m) 11^T``; the bordered system is factored by Bunch-Kaufman with
-  a condition-estimate floor and refined twice.
+  saddle-point system in the multipliers plus the free mean translation.
+  ``L^+`` comes from one Cholesky factor of ``L + (s/m) 11^T``.  The
+  multiplier block ``S11 = (1/2) (L^+ o G)``, with ``G`` the Gram matrix of
+  the measurement vectors, is positive definite whenever the graph is
+  connected and the vectors span the space (Schur product theorem: no
+  ``x != 0`` makes every ``x_i a_i`` the same vector), so the bordered
+  system is solved through Cholesky factors of ``S11`` and of its d x d
+  Schur complement ``A^T S11^-1 A``, each checked against the
+  condition-estimate floor ``RCOND_MIN = 1e-14``, and refined once
+  (Nocedal & Wright, *Numerical Optimization*, §16.2; Higham, *Accuracy and
+  Stability of Numerical Algorithms*, ch. 12).
 * **Null-space fallback.**  When the reduced solve breaks down, or its
   result misses the stationarity guard (fused points put weights near
   ``DELTA**-0.5`` beside O(1) ones and ``L^+`` loses accuracy), each row is
   written as ``z_i = z0_i + B_i y_i`` with ``B_i`` an orthonormal basis of
   the complement of ``a_i``.  The positive definite ``m (d-1)`` system in
   ``y`` is factored by Cholesky, checked against the same floor and refined
-  once (Nocedal & Wright, *Numerical Optimization*, §16.2).
+  once.
 
 Both results are re-projected onto the constraint hyperplanes and must pass
 the KKT stationarity and feasibility guards; a null-space result that
-misses them raises :class:`NumericalError`.
+misses them raises :class:`NumericalError`.  With d = 1, ``S11`` is
+singular, the floor rejects it and the null-space route pins each row.
 
 Degenerate subproblems (disconnected weight graph, or measurement vectors
 that do not span the full space) have multiple minimizers; the minimum-norm
@@ -171,8 +179,12 @@ class WeightMatrix:
 
 
 def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
-    diffs = z[:, None, :] - z[None, :, :]
-    return np.einsum("ijk,ijk->ij", diffs, diffs)
+    """``||z_i - z_j||^2`` for every pair, exactly symmetric with a zero
+    diagonal; the differences are taken one coordinate at a time."""
+    zt = np.ascontiguousarray(z.T)
+    diffs = zt[:, :, None] - zt[:, None, :]
+    np.square(diffs, out=diffs)
+    return diffs.sum(axis=0)
 
 
 def _reweight(z: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
@@ -182,11 +194,15 @@ def _reweight(z: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     ``1 / r_ij`` and the objective is ``sum_{i != j} r_ij``; self-pairs get
     weight 0 and are excluded from the sum.
     """
-    r = np.sqrt(_pairwise_sq_dists(z) + delta)
-    w = 1.0 / r
-    np.fill_diagonal(w, 0.0)
+    r = _pairwise_sq_dists(z)
+    r += delta
+    np.sqrt(r, out=r)
     np.fill_diagonal(r, 0.0)
-    return w, float(r.sum())
+    objective = float(r.sum())
+    np.fill_diagonal(r, 1.0)  # no 1/0 on the diagonal
+    np.reciprocal(r, out=r)
+    np.fill_diagonal(r, 0.0)
+    return r, objective
 
 
 def update_weights(Z, delta: float) -> WeightMatrix:
@@ -217,35 +233,55 @@ def _connected(w: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _sym_solve(M: np.ndarray, rhs: np.ndarray):
-    """Solve a symmetric indefinite system; returns the solution and a
-    ``resolve(r)`` that solves with the same factors.
+def _cholesky_solver(M: np.ndarray, name: str):
+    """``solve(r)`` for the positive definite ``M`` from one Cholesky factor.
 
-    Uses the Bunch-Kaufman factorization and raises if the reciprocal
-    condition estimate falls below ``RCOND_MIN``.
+    ``r`` may hold one right-hand side or one per column.  A factorization
+    breakdown, a reciprocal condition estimate below ``RCOND_MIN`` or a
+    failed solve raises :class:`NumericalError`.
     """
-    anorm = np.linalg.norm(M, 1)
-    ldu, ipiv, info = lapack.dsytrf(M, lower=1)
+    c, info = lapack.dpotrf(M, lower=1)
     if info != 0:
-        raise NumericalError(f"symmetric factorization failed (info={info})")
-    rcond, _ = lapack.dsycon(ldu, ipiv, anorm, lower=1)
-    if not np.isfinite(rcond) or rcond < RCOND_MIN:
+        raise NumericalError(f"{name} Cholesky factorization failed (info={info})")
+    rcond, info = lapack.dpocon(c, np.linalg.norm(M, 1), uplo="L")
+    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise NumericalError(
-            f"KKT system too ill-conditioned (rcond estimate {rcond:.2e})"
+            f"{name} system too ill-conditioned (rcond estimate {rcond:.2e})"
         )
 
-    def resolve(r: np.ndarray) -> np.ndarray:
-        y, bad = lapack.dsytrs(ldu, ipiv, r[:, None], lower=1)
+    def solve(r: np.ndarray) -> np.ndarray:
+        x, bad = lapack.dpotrs(c, r if r.ndim == 2 else r[:, None], lower=1)
         if bad != 0:
-            raise NumericalError(f"symmetric solve failed (info={bad})")
-        return y[:, 0]
+            raise NumericalError(f"Cholesky solve failed (info={bad})")
+        return x if r.ndim == 2 else x[:, 0]
 
-    return resolve(rhs), resolve
+    return solve
+
+
+def _bordered_solver(S11: np.ndarray, A: np.ndarray):
+    """``resolve(top, bottom)`` solving the bordered system
+    ``[[S11, A], [A^T, 0]] [x, y] = [top, bottom]``.
+
+    ``S11`` (m x m) must be positive definite and ``A`` (m x d) of full
+    column rank, so the Schur complement ``T = A^T S11^-1 A`` is positive
+    definite too; both are factored by :func:`_cholesky_solver`.  Then
+    ``y = T^-1 (A^T S11^-1 top - bottom)`` and ``x = S11^-1 (top - A y)``.
+    """
+    s11 = _cholesky_solver(S11, "reduced KKT")
+    X = s11(A)  # S11^-1 A
+    schur = _cholesky_solver(A.T @ X, "Schur complement")
+
+    def resolve(top: np.ndarray, bottom: np.ndarray):
+        u = s11(top)
+        y = schur(A.T @ u - bottom)
+        return u - X @ y, y
+
+    return resolve
 
 
 def _laplacian(w: np.ndarray) -> np.ndarray:
-    L = -w.copy()
-    L[np.diag_indices_from(L)] = w.sum(axis=1)
+    L = np.negative(w)
+    np.fill_diagonal(L, w.sum(axis=1))
     return L
 
 
@@ -265,17 +301,23 @@ def _laplacian_pinv(L: np.ndarray) -> np.ndarray:
     """
     m = L.shape[0]
     s = np.trace(L) / m
-    c, info = lapack.dpotrf(L + s / m, lower=1)
+    # K is symmetric, so its Fortran-ordered transpose is K and LAPACK
+    # factors and inverts it in place
+    c, info = lapack.dpotrf((L + s / m).T, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalError(f"Laplacian Cholesky factorization failed (info={info})")
-    inv, info = lapack.dpotri(c, lower=1)  # lower triangle; dpotrf zeroed the upper
+    inv, info = lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"Laplacian inverse failed (info={info})")
-    inv += np.tril(inv, -1).T
-    return inv - 1.0 / (s * m)
+    # inv holds the lower triangle and zeros above it (dpotrf cleaned them):
+    # adding the transpose doubles only the diagonal, halved exactly here
+    inv += inv.T
+    inv.flat[:: m + 1] *= 0.5
+    inv -= 1.0 / (s * m)
+    return inv
 
 
-def _solve_reduced_kkt(features, responses, L):
+def _solve_reduced_kkt(features, responses, L, gram):
     """Solve in (m + d) unknowns via the Laplacian pseudoinverse.
 
     With ``lam`` the stationarity multipliers (2 L Z = diag(lam) A_rows) and
@@ -283,34 +325,22 @@ def _solve_reduced_kkt(features, responses, L):
 
         [[(1/2) (L^+ o G), A_rows], [A_rows^T, 0]] [lam, c] = [b, 0]
 
-    where ``G`` is the Gram matrix of the measurement vectors and ``o`` the
-    elementwise product.  Refinement is run against the full KKT residual.
+    where ``G = gram`` is the Gram matrix of the measurement vectors and
+    ``o`` the elementwise product.  The system is solved by
+    :func:`_bordered_solver` and refined once against the full KKT residual.
     Returns ``(z, nu)`` with ``nu = -lam``.
     """
-    m, d = features.shape
     Lp = _laplacian_pinv(L)
-
-    gram = features @ features.T
-    S = np.zeros((m + d, m + d))
-    S[:m, :m] = 0.5 * (Lp * gram)
-    S[:m, m:] = features
-    S[m:, :m] = features.T
-    rhs = np.concatenate([responses, np.zeros(d)])
-    sol, resolve = _sym_solve(S, rhs)
-    lam, c = sol[:m], sol[m:]
+    resolve = _bordered_solver(0.5 * (Lp * gram), features)
+    lam, c = resolve(responses, np.zeros(features.shape[1]))
     z = 0.5 * (Lp @ (lam[:, None] * features)) + c[None, :]
 
-    for _ in range(2):
-        stat_res = lam[:, None] * features - 2.0 * (L @ z)
-        feas_res = responses - np.einsum("ij,ij->i", features, z)
-        orth_res = -features.T @ lam
-        top = feas_res - 0.5 * np.einsum("ij,ij->i", Lp @ stat_res, features)
-        corr = resolve(np.concatenate([top, orth_res]))
-        dlam, dc = corr[:m], corr[m:]
-        z = z + 0.5 * (Lp @ ((dlam[:, None] * features) + stat_res)) + dc[None, :]
-        lam = lam + dlam
-        c = c + dc
-    return z, -lam
+    stat_res = lam[:, None] * features - 2.0 * (L @ z)
+    feas_res = responses - np.einsum("ij,ij->i", features, z)
+    top = feas_res - 0.5 * np.einsum("ij,ij->i", Lp @ stat_res, features)
+    dlam, dc = resolve(top, -features.T @ lam)
+    z += 0.5 * (Lp @ ((dlam[:, None] * features) + stat_res)) + dc[None, :]
+    return z, -(lam + dlam)
 
 
 def _null_space_system(features, responses, L):
@@ -350,21 +380,7 @@ def _solve_null_space(features, responses, L):
     z0, B, H, g = _null_space_system(features, responses, L)
     if H.size == 0:  # d = 1: each constraint pins its row
         return z0
-    c, info = lapack.dpotrf(H, lower=1)
-    if info != 0:
-        raise NumericalError(f"null-space Cholesky factorization failed (info={info})")
-    rcond, info = lapack.dpocon(c, np.linalg.norm(H, 1), uplo="L")
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise NumericalError(
-            f"null-space system too ill-conditioned (rcond estimate {rcond:.2e})"
-        )
-
-    def solve(r: np.ndarray) -> np.ndarray:
-        x, bad = lapack.dpotrs(c, r[:, None], lower=1)
-        if bad != 0:
-            raise NumericalError(f"Cholesky solve failed (info={bad})")
-        return x[:, 0]
-
+    solve = _cholesky_solver(H, "null-space")
     y = solve(-g)
     y = y + solve(-g - H @ y)  # one refinement step
     return _from_null_space(z0, B, y)
@@ -393,19 +409,21 @@ def _stationarity_defect(L, z, nu, features) -> float:
     which it can be evaluated in floating point.
     """
     stat = 2.0 * (L @ z) + nu[:, None] * features
+    znorm = np.linalg.norm(z, axis=1)
+    # |L| = 2 diag(L) - L: the diagonal is nonnegative, the rest nonpositive
+    abs_L_znorm = 2.0 * np.diagonal(L) * znorm - L @ znorm
     row_scale = np.maximum(
-        2.0 * (np.abs(L) @ np.linalg.norm(z, axis=1))
-        + np.abs(nu) * np.linalg.norm(features, axis=1),
+        2.0 * abs_L_znorm + np.abs(nu) * np.linalg.norm(features, axis=1),
         1.0,
     )
     return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
 
 
-def _solve_unique(features, responses, L):
+def _solve_unique(features, responses, L, gram):
     """Reduced solve first; the null-space solve when it breaks down or its
     projected result misses the stationarity guard."""
     try:
-        z, nu = _solve_reduced_kkt(features, responses, L)
+        z, nu = _solve_reduced_kkt(features, responses, L, gram)
     except NumericalError:
         pass
     else:
@@ -431,15 +449,19 @@ def weighted_ls_step(dataset: Dataset, weights: WeightMatrix) -> EstimateField:
         raise DataValidationError("weight matrix size does not match dataset")
     features = dataset.features
     z = _weighted_ls(
-        features, dataset.responses, weights.w, _spans(features, SPAN_RTOL)
+        features,
+        dataset.responses,
+        weights.w,
+        _spans(features, SPAN_RTOL),
+        features @ features.T,
     )
     return EstimateField(z)
 
 
-def _weighted_ls(features, responses, w, span_full: bool) -> np.ndarray:
+def _weighted_ls(features, responses, w, span_full: bool, gram) -> np.ndarray:
     """:func:`weighted_ls_step` on raw arrays: ``w`` is a valid weight matrix
-    of matching size and ``span_full`` says whether ``features`` span the
-    space, both checked by the caller."""
+    of matching size, ``span_full`` says whether ``features`` span the space
+    and ``gram`` is ``features @ features.T``, all supplied by the caller."""
     L = _laplacian(w)
 
     degenerate = None
@@ -451,7 +473,7 @@ def _weighted_ls(features, responses, w, span_full: bool) -> np.ndarray:
             "non-unique, returning the minimum-norm minimizer"
         )
     if degenerate is None:
-        z = _solve_unique(features, responses, L)
+        z = _solve_unique(features, responses, L, gram)
     else:
         warnings.warn(degenerate, NonUniqueSolutionWarning)
         z = _solve_min_norm(features, responses, L)
@@ -507,9 +529,10 @@ def irls_solve(
     ``k = 1``) only the step rule and the cap stop the loop; a ``k`` outside
     ``[1, m]`` raises :class:`DataValidationError` before any solve.
 
-    The feature span is checked once per solve, and each iteration makes
-    one distance pass that yields both its objective and the next weights;
-    the weights, built here, skip :class:`WeightMatrix` validation.
+    The feature span and Gram matrix are computed once per solve, and each
+    iteration makes one distance pass that yields both its objective and the
+    next weights; the weights, built here, skip :class:`WeightMatrix`
+    validation.
 
     Non-convergence is reported through ``trace.converged``, not raised.
     """
@@ -517,6 +540,7 @@ def irls_solve(
         raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
     features, responses = dataset.features, dataset.responses
     span_full = _spans(features, SPAN_RTOL)  # the features never change
+    gram = features @ features.T
     w = WeightMatrix.uniform(dataset.m).w
     history: list[float] = []
     prev: EstimateField | None = None
@@ -525,7 +549,7 @@ def irls_solve(
     max_feas = 0.0
     next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
-        Z = EstimateField(_weighted_ls(features, responses, w, span_full))
+        Z = EstimateField(_weighted_ls(features, responses, w, span_full, gram))
         w, objective = _reweight(Z.z, DELTA)  # next weights, this objective
         history.append(objective)
         max_feas = max(max_feas, feasibility_residual(Z, dataset))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixreg.certificate import Certificate, build_certificate, verify_certificate
-from mixreg.errors import CertificateUndefinedError, DataValidationError
+from mixreg.errors import (
+    CertificateUndefinedError,
+    DataValidationError,
+    DegenerateModelError,
+)
 from mixreg.geometry import _project_class, check_conditions, weighted_directions
 from mixreg.model import Dataset, MixtureModel, candidate_solution, recovery_error
 from mixreg.solver import irls_solve
@@ -128,6 +133,24 @@ def test_orthogonal_point_raises_with_index():
     with pytest.raises(CertificateUndefinedError) as err:
         build_certificate(dataset, model)
     assert err.value.row_index == 1
+
+
+def test_zero_weighted_direction_raises():
+    # beta_0 = 0 sits halfway between e1 and -e1 and the classes are equal,
+    # so the weighted direction of class 0 is the zero vector
+    rng = np.random.default_rng(4)
+    feats = rng.standard_normal((6, 2))
+    labels = np.repeat(np.arange(3), 2)
+    betas = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    resp = np.einsum("ij,ij->i", feats, betas[labels])
+    dataset = Dataset(feats, resp, labels)
+    model = MixtureModel(betas, np.array([2, 2, 2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateModelError, match="component 0"):
+            check_conditions(dataset, model)
+        with pytest.raises(DegenerateModelError, match="component 0"):
+            build_certificate(dataset, model)
 
 
 def _mirrored_instance(t):

@@ -22,7 +22,10 @@ from mixreg.solver import (
     SUBPROBLEM_TOL,
     SolverOptions,
     WeightMatrix,
+    _bordered_solver,
     _laplacian,
+    _laplacian_pinv,
+    _pairwise_sq_dists,
     _project_rows,
     _solve_reduced_kkt,
     _stationarity_defect,
@@ -86,6 +89,46 @@ def test_smoothed_objective_limits():
     z_equal = np.ones((4, 3))
     # self-pairs excluded: 4*3 ordered pairs each contributing sqrt(delta)
     assert smoothed_objective(z_equal, 1e-8) == pytest.approx(12 * 1e-4, rel=1e-12)
+
+
+def test_pairwise_sq_dists_match_per_pair_sum():
+    rng = np.random.default_rng(21)
+    for m, d in [(1, 3), (2, 1), (7, 2), (30, 10), (45, 4)]:
+        z = rng.standard_normal((m, d)) * rng.uniform(1e-3, 1e3, size=d)
+        D = _pairwise_sq_dists(z)
+        expected = np.array(
+            [[np.sum((z[i] - z[j]) ** 2) for j in range(m)] for i in range(m)]
+        )
+        assert D.shape == (m, m)
+        np.testing.assert_allclose(D, expected, rtol=1e-15, atol=0.0)
+        assert np.array_equal(D, D.T)
+        assert np.all(np.diagonal(D) == 0.0)
+
+
+@st.composite
+def _bordered_systems(draw):
+    d = draw(st.integers(2, 6))
+    m = draw(st.integers(d + 1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m, d, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bordered_systems())
+def test_bordered_solver_matches_dense_kkt_solve(system):
+    # the reduced solve's (m + d) system, solved through the Cholesky factors
+    # of its multiplier block and Schur complement, against a dense LU solve
+    m, d, seed = system
+    rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((m, d))
+    Lp = _laplacian_pinv(_laplacian(_random_weights(rng, m).w))
+    S11 = 0.5 * (Lp * (feats @ feats.T))
+    top, bottom = rng.standard_normal(m), rng.standard_normal(d)
+    x, y = _bordered_solver(S11, feats)(top, bottom)
+    K = np.block([[S11, feats], [feats.T, np.zeros((d, d))]])
+    expected = np.linalg.solve(K, np.concatenate([top, bottom]))
+    error = np.linalg.norm(np.concatenate([x, y]) - expected)
+    assert error <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_weighted_ls_step_concurrent_lines():
@@ -173,7 +216,8 @@ def test_weighted_ls_step_fused_points_fallback():
     w = update_weights(Z, DELTA)
     assert w.w.max() > 1e7
     L = _laplacian(w.w)
-    z, nu = _solve_reduced_kkt(ds.features, ds.responses, L)
+    gram = ds.features @ ds.features.T
+    z, nu = _solve_reduced_kkt(ds.features, ds.responses, L, gram)
     z = _project_rows(z, ds.features, ds.responses)
     assert _stationarity_defect(L, z, nu, ds.features) > SUBPROBLEM_TOL
     _assert_matches_eqp(ds, w)
