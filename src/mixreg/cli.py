@@ -175,6 +175,7 @@ def _cmd_solve(args) -> int:
     print(
         f"solved m={dataset.m} d={dataset.d}: iterations={trace.iterations} "
         f"converged={trace.converged} stop_reason={trace.stop_reason} "
+        f"extrapolations={trace.extrapolations} "
         f"feasibility={feasibility_residual(estimates, dataset):.3e}"
     )
     return EXIT_OK

@@ -46,8 +46,23 @@ that do not span the full space) have multiple minimizers; the minimum-norm
 one, the least-squares solution of the same null-space system, is returned
 along with a :class:`NonUniqueSolutionWarning`.
 
+The alternation S (reweight from a field, then solve the subproblem) is a
+majorize-minimize map that converges linearly, and the loop accelerates it
+with monotone SQUAREM (Varadhan & Roland, *Scand. J. Statist.* 35, 2008).
+Each cycle takes two IRLS steps ``F1 = S(x)`` and ``F2 = S(F1)`` from an
+anchor ``x`` and extrapolates to ``x' = x - 2 alpha r + alpha^2 v`` with
+``r = F1 - x``, ``v = F2 - 2 F1 + x`` and ``alpha = min(-1, -||r||/||v||)``.
+The coefficients of ``x``, ``F1`` and ``F2`` in ``x'`` sum to one, so ``x'``
+satisfies every row constraint up to rounding, which one projection removes.
+``x'`` becomes the next anchor only if its smoothed objective is finite and
+no larger than ``F2``'s, and the next solve cannot raise it (the subproblem
+majorizes the objective), so the history of solve objectives never
+increases; otherwise the cycle continues from ``F2``.  Only subproblem
+solutions are returned or recorded, and the step rule compares each solve
+with the field whose weights it used.
+
 When the caller knows the number of classes ``k``, the loop also tries a
-certified exit at iterations 1, 2, 4, 8, ...: it clusters the iterate into
+certified exit at solves 1, 2, 4, 8, ...: it clusters the iterate into
 ``k`` groups, refits one regression per group, and returns the refit field
 ``z_i = beta_hat[label_i]`` if it is feasible and the closed-form dual
 certificate proves it the program's unique minimizer.
@@ -57,6 +72,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -120,10 +136,12 @@ class SolverOptions:
 class SolveTrace:
     """Per-solve diagnostics.
 
-    ``stop_reason`` is ``"certified"`` (the returned field carries a dual
-    certificate), ``"step"`` (the step norm fell below ``stop_tol``) or
-    ``"cap"`` (``max_iter`` subproblems were solved); the solve converged
-    unless it hit the cap.
+    ``iterations`` counts subproblem solves, one ``objective_history``
+    entry each.  ``stop_reason`` is ``"certified"`` (the returned field
+    carries a dual certificate), ``"step"`` (the step norm fell below
+    ``stop_tol``) or ``"cap"`` (``max_iter`` subproblems were solved); the
+    solve converged unless it hit the cap.  ``extrapolations`` counts the
+    accepted SQUAREM extrapolations.
     """
 
     iterations: int
@@ -131,6 +149,7 @@ class SolveTrace:
     final_step_norm: float | None
     max_feasibility_residual: float
     stop_reason: str
+    extrapolations: int
 
     @property
     def converged(self) -> bool:
@@ -144,6 +163,7 @@ class SolveTrace:
             "converged": self.converged,
             "max_feasibility_residual": self.max_feasibility_residual,
             "stop_reason": self.stop_reason,
+            "extrapolations": self.extrapolations,
         }
 
 
@@ -285,11 +305,33 @@ def _laplacian(w: np.ndarray) -> np.ndarray:
     return L
 
 
-def _project_rows(z: np.ndarray, features: np.ndarray, responses: np.ndarray):
+class _Rows(NamedTuple):
+    """A dataset's per-solve constants, computed once by :func:`_rows`."""
+
+    features: np.ndarray
+    responses: np.ndarray
+    sq_norms: np.ndarray  # ||a_i||^2
+    norms: np.ndarray  # ||a_i||
+    gram: np.ndarray  # features @ features.T
+    span_full: bool  # whether the features span the space
+
+
+def _rows(dataset: Dataset) -> _Rows:
+    features = dataset.features
+    return _Rows(
+        features,
+        dataset.responses,
+        np.einsum("ij,ij->i", features, features),
+        np.linalg.norm(features, axis=1),
+        features @ features.T,
+        _spans(features, SPAN_RTOL),
+    )
+
+
+def _project_rows(z: np.ndarray, rows: _Rows):
     """Exactly restore per-row feasibility a_i^T z_i = b_i."""
-    sq = np.einsum("ij,ij->i", features, features)
-    gap = np.einsum("ij,ij->i", features, z) - responses
-    return z - (gap / sq)[:, None] * features
+    gap = np.einsum("ij,ij->i", rows.features, z) - rows.responses
+    return z - (gap / rows.sq_norms)[:, None] * rows.features
 
 
 def _laplacian_pinv(L: np.ndarray) -> np.ndarray:
@@ -343,7 +385,7 @@ def _solve_reduced_kkt(features, responses, L, gram):
     return z, -(lam + dlam)
 
 
-def _null_space_system(features, responses, L):
+def _null_space_system(rows: _Rows, L):
     """The subproblem in null-space coordinates ``z_i = z0_i + B_i y_i``.
 
     ``z0_i`` is the point of hyperplane i closest to the origin and ``B_i``
@@ -353,10 +395,10 @@ def _null_space_system(features, responses, L):
     ``g_i = 4 B_i^T (L z0)_i``.  Returns ``(z0, B, H, g)``; for d = 1 the
     system is empty.
     """
+    features = rows.features
     m, d = features.shape
     nd = d - 1
-    sq = np.einsum("ij,ij->i", features, features)
-    z0 = (responses / sq)[:, None] * features
+    z0 = (rows.responses / rows.sq_norms)[:, None] * features
     B = orthonormal_complement_bases(features)
     flat = B.transpose(1, 0, 2).reshape(d, m * nd)  # [B_1, ..., B_m]
     H = flat.T @ flat
@@ -370,14 +412,14 @@ def _from_null_space(z0, B, y):
     return z0 + np.einsum("ijk,ik->ij", B, y.reshape(B.shape[0], B.shape[2]))
 
 
-def _solve_null_space(features, responses, L):
+def _solve_null_space(rows: _Rows, L):
     """Null-space solve of a unique subproblem (Nocedal & Wright, §16.2).
 
     ``H`` is positive definite when the graph is connected and the
     measurement vectors span the space; it is factored by Cholesky, checked
     against ``RCOND_MIN`` and refined once.
     """
-    z0, B, H, g = _null_space_system(features, responses, L)
+    z0, B, H, g = _null_space_system(rows, L)
     if H.size == 0:  # d = 1: each constraint pins its row
         return z0
     solve = _cholesky_solver(H, "null-space")
@@ -386,13 +428,13 @@ def _solve_null_space(features, responses, L):
     return _from_null_space(z0, B, y)
 
 
-def _solve_min_norm(features, responses, L):
+def _solve_min_norm(rows: _Rows, L):
     """Minimum-norm minimizer of a non-unique subproblem.
 
     The null-space system is singular here; its least-squares solve picks
     the minimum-norm stationary point.
     """
-    z0, B, H, g = _null_space_system(features, responses, L)
+    z0, B, H, g = _null_space_system(rows, L)
     y, *_ = np.linalg.lstsq(H, -g, rcond=None)
     H_norm = np.abs(H).sum(axis=1).max(initial=0.0)
     scale = max(1.0, H_norm * np.abs(y).max(initial=0.0))
@@ -401,39 +443,38 @@ def _solve_min_norm(features, responses, L):
     return _from_null_space(z0, B, y)
 
 
-def _stationarity_defect(L, z, nu, features) -> float:
+def _stationarity_defect(L, z, nu, rows: _Rows) -> float:
     """Largest per-row residual of ``2 (L z)_i + nu_i a_i = 0``.
 
     Backward-style check: the residual is compared per row against the
     magnitude of the terms that produced it, which is the sharpest scale at
     which it can be evaluated in floating point.
     """
-    stat = 2.0 * (L @ z) + nu[:, None] * features
+    stat = 2.0 * (L @ z) + nu[:, None] * rows.features
     znorm = np.linalg.norm(z, axis=1)
     # |L| = 2 diag(L) - L: the diagonal is nonnegative, the rest nonpositive
     abs_L_znorm = 2.0 * np.diagonal(L) * znorm - L @ znorm
     row_scale = np.maximum(
-        2.0 * abs_L_znorm + np.abs(nu) * np.linalg.norm(features, axis=1),
+        2.0 * abs_L_znorm + np.abs(nu) * rows.norms,
         1.0,
     )
     return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
 
 
-def _solve_unique(features, responses, L, gram):
+def _solve_unique(rows: _Rows, L):
     """Reduced solve first; the null-space solve when it breaks down or its
     projected result misses the stationarity guard."""
     try:
-        z, nu = _solve_reduced_kkt(features, responses, L, gram)
+        z, nu = _solve_reduced_kkt(rows.features, rows.responses, L, rows.gram)
     except NumericalError:
         pass
     else:
-        z = _project_rows(z, features, responses)
-        if _stationarity_defect(L, z, nu, features) <= SUBPROBLEM_TOL:
+        z = _project_rows(z, rows)
+        if _stationarity_defect(L, z, nu, rows) <= SUBPROBLEM_TOL:
             return z
-    z = _project_rows(_solve_null_space(features, responses, L), features, responses)
-    sq = np.einsum("ij,ij->i", features, features)
-    nu = -np.einsum("ij,ij->i", features, 2.0 * (L @ z)) / sq
-    if _stationarity_defect(L, z, nu, features) > SUBPROBLEM_TOL:
+    z = _project_rows(_solve_null_space(rows, L), rows)
+    nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
+    if _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL:
         raise NumericalError("KKT stationarity residual above tolerance")
     return z
 
@@ -447,67 +488,61 @@ def weighted_ls_step(dataset: Dataset, weights: WeightMatrix) -> EstimateField:
     """
     if weights.m != dataset.m:
         raise DataValidationError("weight matrix size does not match dataset")
-    features = dataset.features
-    z = _weighted_ls(
-        features,
-        dataset.responses,
-        weights.w,
-        _spans(features, SPAN_RTOL),
-        features @ features.T,
-    )
-    return EstimateField(z)
+    return EstimateField(_weighted_ls(_rows(dataset), weights.w)[0])
 
 
-def _weighted_ls(features, responses, w, span_full: bool, gram) -> np.ndarray:
+def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
     """:func:`weighted_ls_step` on raw arrays: ``w`` is a valid weight matrix
-    of matching size, ``span_full`` says whether ``features`` span the space
-    and ``gram`` is ``features @ features.T``, all supplied by the caller."""
+    of matching size, supplied by the caller.  Returns the minimizer and its
+    largest constraint gap ``max_i |a_i^T z_i - b_i|``."""
     L = _laplacian(w)
 
     degenerate = None
     if not _connected(w):
         degenerate = "weight graph is disconnected; returning the minimum-norm minimizer"
-    elif not span_full:
+    elif not rows.span_full:
         degenerate = (
             "measurement vectors do not span the full space; subproblem is "
             "non-unique, returning the minimum-norm minimizer"
         )
     if degenerate is None:
-        z = _solve_unique(features, responses, L, gram)
+        z = _solve_unique(rows, L)
     else:
         warnings.warn(degenerate, NonUniqueSolutionWarning)
-        z = _solve_min_norm(features, responses, L)
-        z = _project_rows(z, features, responses)
+        z = _project_rows(_solve_min_norm(rows, L), rows)
 
-    if not _feasible(features, responses, z):
+    gap = _feasibility_gap(rows, z)
+    if gap is None:
         raise NumericalError("constraint residual above tolerance after solve")
-    return z
+    return z, gap
 
 
-def _feasible(features, responses, z) -> bool:
-    """Every ``|a_i^T z_i - b_i|`` within 1e-12 of the row's own scale."""
-    gaps = np.abs(np.einsum("ij,ij->i", features, z) - responses)
+def _feasibility_gap(rows: _Rows, z) -> float | None:
+    """``max_i |a_i^T z_i - b_i|``, computed as
+    :func:`~mixreg.model.feasibility_residual` computes it, if every gap is
+    within 1e-12 of its row's own scale; ``None`` otherwise."""
+    gaps = np.abs(np.einsum("ij,ij->i", rows.features, z) - rows.responses)
     bounds = 1e-12 * (
-        np.abs(responses)
-        + np.linalg.norm(features, axis=1) * np.linalg.norm(z, axis=1)
+        np.abs(rows.responses) + rows.norms * np.linalg.norm(z, axis=1)
     ) + 1e-12
-    return not np.any(gaps > bounds)
+    return None if np.any(gaps > bounds) else float(np.max(gaps))
 
 
-def _certified_field(dataset: Dataset, z: np.ndarray, k: int) -> EstimateField | None:
+def _certified_field(
+    dataset: Dataset, rows: _Rows, z: np.ndarray, k: int
+) -> EstimateField | None:
     """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
     if that field is feasible and the closed-form certificate proves it the
     program's unique minimizer; ``None`` otherwise."""
-    features, responses = dataset.features, dataset.responses
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderdeterminedFitWarning)
         try:
             labels = kmeans(z, k, restarts=_EXIT_RESTARTS, seed=0).labels
             betas = refit_regression(dataset, labels).betas_hat
             snapped = betas[labels]
-            if not _feasible(features, responses, snapped):
+            if _feasibility_gap(rows, snapped) is None:
                 return None
-            labeled = Dataset(features, responses, labels)
+            labeled = Dataset(dataset.features, dataset.responses, labels)
             model = MixtureModel(betas, np.bincount(labels))
             verdict = certificate.verify_certificate(
                 certificate.build_certificate(labeled, model), labeled, model
@@ -517,60 +552,103 @@ def _certified_field(dataset: Dataset, z: np.ndarray, k: int) -> EstimateField |
     return EstimateField(snapped) if verdict.certifies else None
 
 
+def _squarem_point(x: np.ndarray, f1: np.ndarray, f2: np.ndarray, rows: _Rows):
+    """The SQUAREM extrapolation of the IRLS cycle ``x -> f1 -> f2``,
+    projected back onto the row constraints, or ``None`` when it would be
+    ``f2`` itself (step length -1) or is undefined (``v = 0``)."""
+    r = f1 - x
+    v = f2 - f1 - r
+    v_norm = np.linalg.norm(v)
+    if v_norm == 0.0:
+        return None
+    alpha = min(-1.0, -float(np.linalg.norm(r) / v_norm))
+    if alpha == -1.0:
+        return None
+    # an affine combination of feasible fields: feasible up to rounding
+    return _project_rows(x - 2.0 * alpha * r + alpha * alpha * v, rows)
+
+
 def irls_solve(
     dataset: Dataset, opts: SolverOptions = SolverOptions(), *, k: int | None = None
 ) -> tuple[EstimateField, SolveTrace]:
-    """Run the reweighting loop until the normalized step norm drops below
-    ``opts.stop_tol`` or ``opts.max_iter`` subproblems have been solved.
+    """Run monotone SQUAREM-accelerated IRLS until the normalized step norm
+    drops below ``opts.stop_tol`` or ``opts.max_iter`` subproblems have been
+    solved.
 
-    With ``k >= 2`` the iterates at t = 1, 2, 4, 8, ... are also clustered
-    into ``k`` groups and refit; a refit field that the closed-form dual
+    The IRLS map S reweights from a field and solves the weighted
+    subproblem.  The first solve uses uniform weights and its result is the
+    first anchor ``x``.  Each cycle then solves ``F1 = S(x)`` and
+    ``F2 = S(F1)`` and extrapolates (Varadhan & Roland, *Scand. J. Statist.*
+    35, 2008): with ``r = F1 - x``, ``v = F2 - 2 F1 + x`` and
+    ``alpha = min(-1, -||r|| / ||v||)``, ``x' = x - 2 alpha r + alpha^2 v``,
+    projected onto the row constraints (the coefficients sum to one, so only
+    rounding is removed).  One distance pass on ``x'`` gives its smoothed
+    objective and weights; ``x'`` becomes the next anchor only if that
+    objective is finite and no larger than ``F2``'s, so the objective
+    history still never increases, and otherwise the cycle goes on from
+    ``F2``.  ``alpha = -1`` (``x' = F2``) skips the pass.  Every returned
+    field and history entry is a subproblem solution; the step is the
+    distance from a solve's result to the field whose weights it used.
+
+    With ``k >= 2`` the solves t = 1, 2, 4, 8, ... are also clustered into
+    ``k`` groups and refit; a refit field that the closed-form dual
     certificate proves optimal is returned at once.  Without ``k`` (or with
     ``k = 1``) only the step rule and the cap stop the loop; a ``k`` outside
     ``[1, m]`` raises :class:`DataValidationError` before any solve.
 
-    The feature span and Gram matrix are computed once per solve, and each
-    iteration makes one distance pass that yields both its objective and the
-    next weights; the weights, built here, skip :class:`WeightMatrix`
-    validation.
+    The feature span, Gram matrix and row norms are computed once per solve,
+    and each solve makes one distance pass that yields both its objective
+    and the next weights; the weights, built here, skip
+    :class:`WeightMatrix` validation.
 
     Non-convergence is reported through ``trace.converged``, not raised.
     """
     if k is not None and not 1 <= k <= dataset.m:
         raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
-    features, responses = dataset.features, dataset.responses
-    span_full = _spans(features, SPAN_RTOL)  # the features never change
-    gram = features @ features.T
+    rows = _rows(dataset)  # the features never change
     w = WeightMatrix.uniform(dataset.m).w
+    base: np.ndarray | None = None  # the field whose weights w are
+    cycle: list[np.ndarray] = []  # the current cycle's anchor, then F1
     history: list[float] = []
-    prev: EstimateField | None = None
     step: float | None = None
     stop_reason = "cap"
     max_feas = 0.0
+    extrapolations = 0
     next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
-        Z = EstimateField(_weighted_ls(features, responses, w, span_full, gram))
+        z, gap = _weighted_ls(rows, w)
+        Z = EstimateField(z)
         w, objective = _reweight(Z.z, DELTA)  # next weights, this objective
         history.append(objective)
-        max_feas = max(max_feas, feasibility_residual(Z, dataset))
-        if prev is not None:
-            step = recovery_error(Z, prev)
+        max_feas = max(max_feas, gap)
+        if base is not None:
+            step = recovery_error(Z, base)
         if t == next_exit:
             next_exit *= 2
-            certified = _certified_field(dataset, Z.z, k)
+            certified = _certified_field(dataset, rows, Z.z, k)
             if certified is not None:
                 max_feas = max(max_feas, feasibility_residual(certified, dataset))
-                prev, stop_reason = certified, "certified"
+                Z, stop_reason = certified, "certified"
                 break
-        prev = Z
         if step is not None and step < opts.stop_tol:
             stop_reason = "step"
             break
+        base = Z.z
+        cycle.append(base)
+        if len(cycle) == 3:
+            x_new = _squarem_point(*cycle, rows)
+            if x_new is not None:
+                w_new, f_new = _reweight(x_new, DELTA)
+                if np.isfinite(f_new) and f_new <= objective:
+                    base, w = x_new, w_new
+                    extrapolations += 1
+            cycle = [base]
     trace = SolveTrace(
         iterations=t,  # max_iter >= 1, so the loop ran
         objective_history=history,
         final_step_norm=step,
         max_feasibility_residual=max_feas,
         stop_reason=stop_reason,
+        extrapolations=extrapolations,
     )
-    return prev, trace
+    return Z, trace

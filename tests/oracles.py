@@ -71,48 +71,60 @@ def _objective_of_ts(base, dirs, ts) -> float:
     return brute_force_objective(z)
 
 
-def _exhaustive_last_two(base, dirs, grid, prefix):
-    """Minimize over the last two coordinates with the prefix fixed.
-
-    Vectorized on a (len(grid), len(grid)) plane; returns (best value,
-    best full coordinate vector).
-    """
-    m = base.shape[0]
-    fixed = [base[i] + prefix[i] * dirs[i] for i in range(m - 2)]
-    za = base[m - 2] + grid[:, None] * dirs[m - 2]  # (n, 2)
-    zb = base[m - 1] + grid[:, None] * dirs[m - 1]
-    n = grid.size
-    total = np.zeros((n, n))
-    const = 0.0
-    for i in range(m - 2):
-        for j in range(i + 1, m - 2):
-            const += np.linalg.norm(fixed[i] - fixed[j])
-        total += np.linalg.norm(za - fixed[i], axis=1)[:, None]
-        total += np.linalg.norm(zb - fixed[i], axis=1)[None, :]
-    diff = za[:, None, :] - zb[None, :, :]
-    total += np.sqrt(np.sum(diff**2, axis=2))
-    total += const
-    flat = int(np.argmin(total))
-    ia, ib = divmod(flat, n)
-    ts = np.concatenate([prefix, [grid[ia], grid[ib]]])
-    # doubled: the oracle objective counts ordered pairs
-    return 2.0 * float(total[ia, ib]), ts
-
-
 def _exhaustive_search(base, dirs, grid):
+    """Minimize over the product grid, one coordinate per point.
+
+    The first ``m - 2`` coordinates (the prefix) run over the grid in
+    lexicographic order, and each prefix's ``(len(grid), len(grid))`` plane
+    of the last two is evaluated at once, many prefixes per block.  Every
+    prefix's terms are computed and summed in one fixed order (pairs within
+    the prefix, then each prefix point against the last two, then the last
+    pair), so the value at a node does not depend on the block it falls in;
+    the first minimum in lexicographic (prefix, a, b) order is returned as
+    (best value, best coordinate vector).
+    """
     m = base.shape[0]
     if m == 1:
         return _objective_of_ts(base, dirs, np.zeros(1)), np.zeros(1)
-    best_val = np.inf
-    best_ts = None
-    if m == 2:
-        val, ts = _exhaustive_last_two(base, dirs, grid, np.zeros(0))
-        return val, ts
-    for prefix_idx in np.ndindex(*([grid.size] * (m - 2))):
-        prefix = grid[list(prefix_idx)]
-        val, ts = _exhaustive_last_two(base, dirs, grid, prefix)
+    n = grid.size
+    k = m - 2  # prefix length
+    pts = [base[i] + grid[:, None] * dirs[i] for i in range(m)]  # (n, 2) each
+    za, zb = pts[m - 2], pts[m - 1]
+    # distances between two prefix points, one grid index each; the 1-d
+    # norm is the same call a single prefix point pair would make
+    pair = {
+        (i, j): np.array(
+            [[np.linalg.norm(pts[i][a] - pts[j][b]) for b in range(n)] for a in range(n)]
+        )
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    # prefix point i (grid index g) against the last two points: [g, a]
+    to_a = [np.linalg.norm(za[None, :, :] - pts[i][:, None, :], axis=2) for i in range(k)]
+    to_b = [np.linalg.norm(zb[None, :, :] - pts[i][:, None, :], axis=2) for i in range(k)]
+    last = np.sqrt(np.sum((za[:, None, :] - zb[None, :, :]) ** 2, axis=2))
+
+    count = n**k
+    block = max(1, (1 << 20) // (n * n))
+    best_val, best_ts = np.inf, None
+    for start in range(0, count, block):
+        q = np.arange(start, min(start + block, count))
+        idx = np.unravel_index(q, (n,) * k) if k else ()
+        total = np.zeros((q.size, n, n))
+        const = np.zeros(q.size)
+        for i in range(k):
+            for j in range(i + 1, k):
+                const += pair[i, j][idx[i], idx[j]]
+            total += to_a[i][idx[i]][:, :, None]
+            total += to_b[i][idx[i]][:, None, :]
+        total += last
+        total += const[:, None, None]
+        p, ia, ib = np.unravel_index(int(np.argmin(total)), total.shape)
+        # doubled: the oracle objective counts ordered pairs
+        val = 2.0 * float(total[p, ia, ib])
         if val < best_val:
-            best_val, best_ts = val, ts
+            prefix = [grid[ix[p]] for ix in idx]
+            best_val, best_ts = val, np.array(prefix + [grid[ia], grid[ib]])
     return best_val, best_ts
 
 

@@ -157,9 +157,12 @@ def test_summary_lines_report_stop_reason(tmp_path, capsys, two_lines_path):
         "solve", str(two_lines_path), "-o", str(tmp_path / "est.csv"),
         "--trace-out", str(trace),
     ]) == 0
-    reason = json.loads(trace.read_text())["stop_reason"]
-    assert reason in ("step", "cap")  # solve is given no k: plain IRLS
-    assert f"stop_reason={reason}" in capsys.readouterr().out
+    payload = json.loads(trace.read_text())
+    reason = payload["stop_reason"]
+    assert reason in ("step", "cap")  # solve is given no k: no certified exit
+    out = capsys.readouterr().out
+    assert f"stop_reason={reason}" in out
+    assert f"extrapolations={payload['extrapolations']}" in out
 
     fit = tmp_path / "fit.json"
     assert main(["fit", str(two_lines_path), "--k", "2", "-o", str(fit)]) == 0

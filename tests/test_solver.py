@@ -27,6 +27,7 @@ from mixreg.solver import (
     _laplacian_pinv,
     _pairwise_sq_dists,
     _project_rows,
+    _rows,
     _solve_reduced_kkt,
     _stationarity_defect,
     irls_solve,
@@ -206,20 +207,27 @@ def _criterion7_instance(index):
     return Dataset(feats, resp)
 
 
+def _plain_public_irls(ds, rounds):
+    """``rounds`` plain (unaccelerated) IRLS solves through the public,
+    validating building blocks, from uniform weights."""
+    Z = weighted_ls_step(ds, WeightMatrix.uniform(ds.m))
+    for _ in range(rounds - 1):
+        Z = weighted_ls_step(ds, update_weights(Z, DELTA))
+    return Z
+
+
 def test_weighted_ls_step_fused_points_fallback():
-    # subproblem 18 of criterion-7 instance 13: points have fused, so weights
-    # near 1e8 sit beside O(1) ones and the reduced solve alone misses the
-    # stationarity guard; the null-space solve must meet it
+    # plain subproblem 18 of criterion-7 instance 13: points have fused, so
+    # weights near 1e8 sit beside O(1) ones and the reduced solve alone
+    # misses the stationarity guard; the null-space solve must meet it
     ds = _criterion7_instance(13)
-    Z, trace = irls_solve(ds, SolverOptions(stop_tol=1e-10, max_iter=17))
-    assert trace.iterations == 17
-    w = update_weights(Z, DELTA)
+    w = update_weights(_plain_public_irls(ds, 17), DELTA)
     assert w.w.max() > 1e7
     L = _laplacian(w.w)
-    gram = ds.features @ ds.features.T
-    z, nu = _solve_reduced_kkt(ds.features, ds.responses, L, gram)
-    z = _project_rows(z, ds.features, ds.responses)
-    assert _stationarity_defect(L, z, nu, ds.features) > SUBPROBLEM_TOL
+    rows = _rows(ds)
+    z, nu = _solve_reduced_kkt(ds.features, ds.responses, L, rows.gram)
+    z = _project_rows(z, rows)
+    assert _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL
     _assert_matches_eqp(ds, w)
 
 
@@ -300,7 +308,7 @@ def test_irls_recovers_separated_instance(sim1_instance):
     payload = trace.to_dict()
     assert set(payload) == {
         "iterations", "objective_history", "final_step_norm",
-        "converged", "max_feasibility_residual", "stop_reason",
+        "converged", "max_feasibility_residual", "stop_reason", "extrapolations",
     }
     assert payload["stop_reason"] == "step" and payload["converged"] is True
 
@@ -408,20 +416,38 @@ def test_irls_exit_needs_k_at_least_two(sim1_instance, monkeypatch):
 
 
 def _reference_irls(ds, opts):
-    """The IRLS loop written with the public, validating building blocks."""
+    """The accelerated IRLS loop written with the public, validating
+    building blocks: two solves per cycle, then the SQUAREM point, kept only
+    if its smoothed objective is finite and no larger than the second
+    solve's.  Returns the last solve, the field whose weights it used (None
+    for uniform weights) and the trace figures."""
+    rows = _rows(ds)
     weights = WeightMatrix.uniform(ds.m)
-    history, prev, step, stop_reason = [], None, None, "cap"
+    base, cycle, history, step, stop_reason, extrapolations = None, [], [], None, "cap", 0
     for t in range(1, opts.max_iter + 1):
-        Z = weighted_ls_step(ds, weights)
+        Z, used = weighted_ls_step(ds, weights), base
         history.append(smoothed_objective(Z, DELTA))
-        if prev is not None:
-            step = recovery_error(Z, prev)
-        prev = Z
+        if base is not None:
+            step = recovery_error(Z, base)
         if step is not None and step < opts.stop_tol:
             stop_reason = "step"
             break
-        weights = update_weights(Z, DELTA)
-    return prev, t, history, step, stop_reason
+        weights, base = update_weights(Z, DELTA), Z.z
+        cycle.append(base)
+        if len(cycle) == 3:
+            x, f1, f2 = cycle
+            r = f1 - x
+            v = f2 - f1 - r
+            if np.linalg.norm(v) > 0.0:
+                alpha = min(-1.0, -float(np.linalg.norm(r) / np.linalg.norm(v)))
+                if alpha < -1.0:
+                    x_new = _project_rows(x - 2.0 * alpha * r + alpha * alpha * v, rows)
+                    f_new = smoothed_objective(x_new, DELTA)
+                    if np.isfinite(f_new) and f_new <= history[-1]:
+                        weights, base = update_weights(x_new, DELTA), x_new
+                        extrapolations += 1
+            cycle = [base]
+    return Z, used, t, history, step, stop_reason, extrapolations
 
 
 def _nonunique_warnings(run):
@@ -432,13 +458,13 @@ def _nonunique_warnings(run):
 
 
 @pytest.mark.parametrize("case", ["aperture", "fused", "span_deficient"])
-def test_irls_matches_public_building_blocks_exactly(case):
+def test_irls_matches_public_building_blocks_exactly(case, monkeypatch):
     # the loop's private per-solve path must reproduce the public, validating
     # one bit for bit: same iterates, objectives, step norms and stop
     if case == "aperture":  # criterion-4 style: k = 3, stop_tol = 1e-8
         ds, _ = gen_sim1(Sim1Config(k=3, d=6, n_per_class=16, alpha=0.12, seed=404))
         opts = SolverOptions(stop_tol=1e-8)
-    elif case == "fused":  # the null-space fallback fires (see above)
+    elif case == "fused":  # the null-space fallback fires (counted below)
         ds = _criterion7_instance(13)
         opts = SolverOptions(stop_tol=1e-10, max_iter=17)
     else:  # every a_i in the (e1, e2) plane of R^3
@@ -447,12 +473,66 @@ def test_irls_matches_public_building_blocks_exactly(case):
         ds = Dataset(feats, rng.standard_normal(10))
         opts = SolverOptions(max_iter=12)
     reference, ref_warned = _nonunique_warnings(lambda: _reference_irls(ds, opts))
-    ref_z, ref_iters, ref_hist, ref_step, ref_reason = reference
+    ref_z, _, ref_iters, ref_hist, ref_step, ref_reason, ref_extra = reference
+
+    import mixreg.solver as solver_mod
+
+    fallbacks = []
+    null_space = solver_mod._solve_null_space
+    monkeypatch.setattr(
+        solver_mod, "_solve_null_space",
+        lambda *args: fallbacks.append(1) or null_space(*args),
+    )
     (Z, trace), warned = _nonunique_warnings(lambda: irls_solve(ds, opts))
     assert np.array_equal(Z.z, ref_z.z)
     assert np.array_equal(trace.objective_history, ref_hist)
     assert trace.iterations == ref_iters
     assert trace.final_step_norm == ref_step
     assert trace.stop_reason == ref_reason
+    assert trace.extrapolations == ref_extra
+    assert (len(fallbacks) > 0) == (case == "fused")
     # one warning per subproblem although the span is checked once per solve
     assert warned == ref_warned == (trace.iterations if case == "span_deficient" else 0)
+
+
+@st.composite
+def _accelerated_instances(draw):
+    d = draw(st.integers(2, 6))
+    m = draw(st.integers(max(3, d), 30))  # m >= d: features span
+    seed = draw(st.integers(0, 2**32 - 1))
+    return m, d, seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(_accelerated_instances())
+def test_irls_accelerated_loop_invariants(instance):
+    # descent, one history entry per solve, feasible rows, and a returned
+    # field that is the subproblem solution at its base field's weights
+    m, d, seed = instance
+    ds = _random_instance(np.random.default_rng(seed), m, d)
+    Z, trace = irls_solve(ds)
+    history = np.asarray(trace.objective_history)
+    assert np.all(np.diff(history) <= 1e-10)
+    assert len(history) == trace.iterations
+    gaps = np.abs(np.einsum("ij,ij->i", ds.features, Z.z) - ds.responses)
+    scales = np.abs(ds.responses) + np.linalg.norm(ds.features, axis=1) * np.linalg.norm(
+        Z.z, axis=1
+    )
+    assert np.all(gaps <= 1e-12 * scales + 1e-12)
+    ref_z, base, *_ = _reference_irls(ds, SolverOptions())
+    assert np.array_equal(Z.z, ref_z.z)
+    weights = WeightMatrix.uniform(m) if base is None else update_weights(base, DELTA)
+    assert np.array_equal(Z.z, weighted_ls_step(ds, weights).z)
+
+
+def test_irls_accelerated_solve_stops_where_plain_caps():
+    # imbalance instance d=4, tau=0.06: plain IRLS hits the 150-solve cap
+    # 9.4e-6 from its limit at stop_tol=1e-8; the accelerated loop stops by
+    # the step rule within 1e-6 of a long plain reference
+    from mixreg.synth import Sim2Config, gen_sim2
+
+    ds, _ = gen_sim2(Sim2Config(d=4, tau=0.06, seed=0))
+    Z, trace = irls_solve(ds, SolverOptions(stop_tol=1e-8))
+    assert trace.stop_reason == "step"
+    assert trace.extrapolations >= 1
+    assert recovery_error(Z, _plain_public_irls(ds, 600)) <= 1e-6
