@@ -28,7 +28,6 @@ from .errors import (
 from .geometry import (
     ConditionReport,
     check_conditions,
-    orthonormal_complement_basis,
     weighted_directions,
 )
 from .model import (
@@ -77,7 +76,6 @@ __all__ = [
     "UnderdeterminedFitWarning",
     "ConditionReport",
     "check_conditions",
-    "orthonormal_complement_basis",
     "weighted_directions",
     "Dataset",
     "EstimateField",

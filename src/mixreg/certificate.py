@@ -15,8 +15,8 @@ when three conditions hold:
   for every point;
 * strict bound: ``gamma = max ||xi_ij|| < 1``;
 * antisymmetry: ``xi_ij = -xi_ji`` (structural here: only the m x d rows
-  ``nu_i * P_perp a_i`` are stored, and each ``xi_ij`` is their difference
-  over ``n_p``, formed on access).
+  ``nu_i * P_perp a_i`` are stored, and each ``xi_ij`` is the difference of
+  two of them over ``n_p``).
 
 Stationarity holds exactly when the instance is balanced; the verdict reports
 the worst-case stationarity defect so imbalanced data fails cleanly.
@@ -42,9 +42,10 @@ GAMMA_BORDERLINE = 1e-9
 class Certificate:
     """Multipliers (nu, xi) for one labeled instance.
 
-    ``rows`` is the m x d matrix with row ``i`` equal to ``nu_i * P_perp a_i``;
-    :meth:`xi_at` forms ``xi_ij = (rows[i] - rows[j]) / n_p`` on access, so
-    antisymmetry holds exactly (IEEE subtraction is antisymmetric).
+    ``rows`` is the m x d matrix with row ``i`` equal to ``nu_i * P_perp a_i``.
+    The multipliers ``xi_ij = (rows[i] - rows[j]) / n_p`` for ``i, j`` in one
+    class are not stored; they are antisymmetric exactly (IEEE subtraction
+    is antisymmetric).
     """
 
     nu: np.ndarray
@@ -66,14 +67,6 @@ class Certificate:
             diffs = R[:, None, :] - R[None, :, :]
             gamma = max(gamma, float(np.max(np.linalg.norm(diffs, axis=2))) / R.shape[0])
         return gamma
-
-    def xi_at(self, i: int, j: int) -> np.ndarray:
-        if self.labels[i] != self.labels[j]:
-            raise DataValidationError(
-                f"xi is defined only within a class; rows {i} and {j} differ"
-            )
-        n_p = np.count_nonzero(self.labels == self.labels[i])
-        return (self.rows[i] - self.rows[j]) / n_p
 
 
 @dataclass(frozen=True)

@@ -204,13 +204,13 @@ def _cmd_certify(args) -> int:
         code = EXIT_NUMERIC
     if args.output:
         write_json(payload, args.output)
-    else:
+        if code == EXIT_OK:
+            print(f"certifies: {payload['certificate']['certifies']}")
+    else:  # stdout carries one JSON document, which holds the verdict
         import json
 
         print(json.dumps(payload, indent=2))
-    if code == EXIT_OK:
-        print(f"certifies: {payload['certificate']['certifies']}")
-    else:
+    if code != EXIT_OK:
         print("certificate undefined", file=sys.stderr)
     return code
 

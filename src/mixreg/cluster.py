@@ -26,7 +26,6 @@ class ClusteringResult:
     centers: np.ndarray
     labels: np.ndarray
     inertia: float
-    inertia_history: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "centers", _frozen_array(self.centers))
@@ -51,11 +50,12 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     sq = np.sum((points - centers[0]) ** 2, axis=1)
     for c in range(1, k):
         total = sq.sum()
-        if total > 0:
-            probs = sq / total
-            idx = rng.choice(m, p=probs)
-        else:  # all points coincide with chosen centers
-            idx = rng.integers(m)
+        if not total > 0:  # every point coincides with a chosen center
+            raise DataValidationError(
+                f"cannot form {k} clusters: the points have fewer than "
+                f"{k} distinct rows"
+            )
+        idx = rng.choice(m, p=sq / total)
         centers[c] = points[idx]
         sq = np.minimum(sq, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
@@ -70,7 +70,6 @@ def _assign(points: np.ndarray, centers: np.ndarray):
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     centers = _plusplus_init(points, k, rng)
     labels, d2 = _assign(points, centers)
-    history = [float(d2[np.arange(points.shape[0]), labels].sum())]
     for _ in range(LLOYD_MAX_ITER):
         new_centers = centers.copy()
         dist = d2[np.arange(points.shape[0]), labels].copy()
@@ -85,12 +84,11 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
                 dist[far] = -1.0  # not reused by another empty cluster
         new_labels, d2 = _assign(points, new_centers)
         centers = new_centers
-        history.append(float(d2[np.arange(points.shape[0]), new_labels].sum()))
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
         labels = new_labels
-    return centers, labels, history
+    return centers, labels, float(d2[np.arange(points.shape[0]), labels].sum())
 
 
 def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResult:
@@ -98,7 +96,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
 
     Deterministic for a fixed seed: restart ``r`` draws from its own stream
     keyed by ``(seed, r)``, and the best run is chosen by lowest inertia with
-    ties broken toward the lowest restart index.
+    ties broken toward the lowest restart index.  Points with fewer than
+    ``k`` distinct rows raise :class:`DataValidationError`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -113,15 +112,11 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        centers, labels, history = _lloyd(points, k, rng)
-        inertia = history[-1]
+        centers, labels, inertia = _lloyd(points, k, rng)
         if best is None or inertia < best[0]:
-            best = (inertia, centers, labels, history)
-    inertia, centers, labels, history = best
-    return ClusteringResult(
-        centers=centers, labels=labels, inertia=inertia,
-        inertia_history=tuple(history),
-    )
+            best = (inertia, centers, labels)
+    inertia, centers, labels = best
+    return ClusteringResult(centers=centers, labels=labels, inertia=inertia)
 
 
 def refit_regression(dataset: Dataset, labels) -> RefitResult:

@@ -26,7 +26,6 @@ from .model import Dataset, MixtureModel, _frozen_array
 __all__ = [
     "ConditionReport",
     "weighted_directions",
-    "orthonormal_complement_basis",
     "orthonormal_complement_bases",
     "check_conditions",
 ]
@@ -99,21 +98,14 @@ def weighted_directions(model: MixtureModel) -> np.ndarray:
     return directions
 
 
-def orthonormal_complement_basis(v: np.ndarray) -> np.ndarray:
-    """Deterministic ``d x (d-1)`` orthonormal basis of the complement of v.
-
-    Built from the Householder reflector that maps the unit vector along v to
-    a signed first basis vector; columns 2..d of the reflector span the
-    complement.  For d = 1 the result has zero columns.
-    """
-    return orthonormal_complement_bases(np.asarray(v, dtype=float)[None])[0]
-
-
 def orthonormal_complement_bases(vs: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`orthonormal_complement_basis`: ``(m, d) -> (m, d, d-1)``.
+    """Deterministic orthonormal bases of the complements of the rows of
+    ``vs``: ``(m, d) -> (m, d, d-1)``.
 
-    Entry ``[i]`` is the same Householder construction applied to row ``i``,
-    built for all rows at once.
+    Entry ``[i]`` is built from the Householder reflector that maps the unit
+    vector along row ``i`` to a signed first basis vector; columns 2..d of
+    the reflector span the complement.  For d = 1 each basis has zero
+    columns.
     """
     vs = np.asarray(vs, dtype=float)
     norms = np.linalg.norm(vs, axis=1)

@@ -134,10 +134,6 @@ class MixtureModel:
     def d(self) -> int:
         return self.betas.shape[1]
 
-    @property
-    def m(self) -> int:
-        return int(self.sizes.sum())
-
 
 @dataclass(frozen=True)
 class EstimateField:
@@ -152,14 +148,6 @@ class EstimateField:
         if not np.all(np.isfinite(z)):
             raise DataValidationError("estimate field contains non-finite values")
         object.__setattr__(self, "z", z)
-
-    @property
-    def m(self) -> int:
-        return self.z.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.z.shape[1]
 
 
 def _as_matrix(Z) -> np.ndarray:

@@ -180,11 +180,10 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
         )
 
 
-def _run_cell(args) -> tuple[int, int, tuple[TrialRecord, ...]]:
+def _run_cell(args) -> tuple[TrialRecord, ...]:
     cfg, di, si = args
     d = cfg.d_values[di]
-    recs = tuple(_run_trial(cfg, d, si, t) for t in range(cfg.trials))
-    return di, si, recs
+    return tuple(_run_trial(cfg, d, si, t) for t in range(cfg.trials))
 
 
 def run_phase(cfg: PhaseConfig, workers: int = 1) -> PhaseGrid:
@@ -205,11 +204,10 @@ def run_phase(cfg: PhaseConfig, workers: int = 1) -> PhaseGrid:
             results = list(pool.map(_run_cell, tasks))
     else:
         results = [_run_cell(t) for t in tasks]
+    # map keeps task order: one row of len(sweep_values) cells per d
     n_s = len(cfg.sweep_values)
-    records = [[None] * n_s for _ in cfg.d_values]
-    for di, si, recs in results:
-        records[di][si] = recs
-    return PhaseGrid(config=cfg, records=tuple(tuple(row) for row in records))
+    records = tuple(tuple(results[i : i + n_s]) for i in range(0, len(results), n_s))
+    return PhaseGrid(config=cfg, records=records)
 
 
 def write_grid_csv(grid: PhaseGrid, path) -> None:

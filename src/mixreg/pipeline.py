@@ -18,12 +18,18 @@ __all__ = ["FitReport", "fit_pipeline"]
 
 @dataclass
 class FitReport:
-    k: int
+    """One fit's refit coefficients and labels; ``k``, the number of
+    classes, is the number of rows of ``betas_hat``."""
+
     betas_hat: np.ndarray
     labels: np.ndarray
     per_class_residual: np.ndarray
     inertia: float
     trace: SolveTrace
+
+    @property
+    def k(self) -> int:
+        return self.betas_hat.shape[0]
 
     def to_dict(self) -> dict:
         return {
@@ -69,7 +75,6 @@ def fit_pipeline(
         labels, inertia = clustering.labels, clustering.inertia
     refit: RefitResult = refit_regression(dataset, labels)
     report = FitReport(
-        k=k,
         betas_hat=refit.betas_hat,
         labels=labels,
         per_class_residual=refit.per_class_residual,

@@ -136,20 +136,24 @@ class SolverOptions:
 class SolveTrace:
     """Per-solve diagnostics.
 
-    ``iterations`` counts subproblem solves, one ``objective_history``
-    entry each.  ``stop_reason`` is ``"certified"`` (the returned field
-    carries a dual certificate), ``"step"`` (the step norm fell below
-    ``stop_tol``) or ``"cap"`` (``max_iter`` subproblems were solved); the
-    solve converged unless it hit the cap.  ``extrapolations`` counts the
+    ``objective_history`` holds one entry per subproblem solve, and
+    ``iterations``, the number of solves, is derived from it.
+    ``stop_reason`` is ``"certified"`` (the returned field carries a dual
+    certificate), ``"step"`` (the step norm fell below ``stop_tol``) or
+    ``"cap"`` (``max_iter`` subproblems were solved); the solve converged
+    unless it hit the cap.  ``extrapolations`` counts the
     accepted SQUAREM extrapolations.
     """
 
-    iterations: int
     objective_history: list[float]
     final_step_norm: float | None
     max_feasibility_residual: float
     stop_reason: str
     extrapolations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_history)
 
     @property
     def converged(self) -> bool:
@@ -241,16 +245,10 @@ def _connected(w: np.ndarray) -> bool:
     m = w.shape[0]
     if np.count_nonzero(w) == m * (m - 1):  # complete, as every IRLS weight graph is
         return True
-    seen = np.zeros(m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(w[i] > 0.0):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    # imported here: scipy.sparse is not loaded at package import
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(w, directed=False, return_labels=False) == 1
 
 
 def _cholesky_solver(M: np.ndarray, name: str):
@@ -644,7 +642,6 @@ def irls_solve(
                     extrapolations += 1
             cycle = [base]
     trace = SolveTrace(
-        iterations=t,  # max_iter >= 1, so the loop ran
         objective_history=history,
         final_step_norm=step,
         max_feasibility_residual=max_feas,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
-from .geometry import orthonormal_complement_basis, weighted_directions
+from .geometry import orthonormal_complement_bases, weighted_directions
 from .model import Dataset, MixtureModel
 
 __all__ = ["Sim1Config", "Sim2Config", "sample_ball", "sample_sphere", "gen_sim1", "gen_sim2"]
@@ -134,10 +134,10 @@ def _generate(cfg, tau: float | None = None) -> tuple[Dataset, MixtureModel]:
     model = _standard_model(cfg.k, cfg.d, cfg.n_per_class)
     half = cfg.n_per_class // 2
     features = []
-    for p, v in enumerate(weighted_directions(model)):
+    directions = weighted_directions(model)
+    for p, (v, Q) in enumerate(zip(directions, orthonormal_complement_bases(directions))):
         rng = _class_rng(cfg.seed, p)
         vhat = v / np.linalg.norm(v)
-        Q = orthonormal_complement_basis(v)
         xs = np.stack([sample_ball(cfg.d - 1, cfg.alpha, rng) for _ in range(half)])
         rows = _mirrored_rows(vhat, Q, xs)
         if p == 2 and tau is not None:

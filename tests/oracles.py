@@ -18,6 +18,14 @@ def brute_force_objective(z: np.ndarray) -> float:
     return total
 
 
+def certificate_xi(cert, i: int, j: int) -> np.ndarray:
+    """The certificate multiplier ``xi_ij = (rows[i] - rows[j]) / n_p`` for
+    two rows of one class of size ``n_p``."""
+    assert cert.labels[i] == cert.labels[j], "xi is defined only within a class"
+    n_p = int(np.sum(cert.labels == cert.labels[i]))
+    return (cert.rows[i] - cert.rows[j]) / n_p
+
+
 def fusion_quadratic(features: np.ndarray, w: np.ndarray):
     """Assemble the quadratic ``sum_{i,j} w_ij ||z_i - z_j||^2`` explicitly.
 

@@ -121,6 +121,19 @@ def test_certify_orthogonal_point_structured_verdict(tmp_path):
     assert payload["certificate"]["row_index"] == 1
 
 
+def test_certify_stdout_is_one_json_document(
+    tmp_path, capsys, two_lines_path, two_lines_betas_path
+):
+    argv = ["certify", str(two_lines_path), "--betas", str(two_lines_betas_path)]
+    assert main(argv) == 0
+    payload = _strict_json(capsys.readouterr().out)  # no trailing summary line
+    assert payload["certificate"]["certifies"] is True
+    verdict = tmp_path / "verdict.json"
+    assert main([*argv, "-o", str(verdict)]) == 0
+    assert capsys.readouterr().out == "certifies: True\n"
+    assert _strict_json(verdict.read_text()) == payload
+
+
 def test_phase_command_outputs(tmp_path):
     prefix = tmp_path / "grid"
     assert main([
@@ -183,6 +196,19 @@ def test_fit_rejects_more_classes_than_rows(
     out = tmp_path / "fit.json"
     assert main(["fit", str(two_lines_path), "--k", "41", "-o", str(out)]) == 2
     assert "k must be in [1, 40]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_more_classes_than_distinct_rows(tmp_path, capsys):
+    # d = 1 pins each estimate to its slope b_i / a_i: two distinct rows
+    data = tmp_path / "two.csv"
+    data.write_text("a_1,b\n1,1\n2,2\n3,3\n1,2\n2,4\n3,6\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(data), "--k", "2", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == 2
+    out.unlink()
+    assert main(["fit", str(data), "--k", "3", "-o", str(out)]) == 2
+    assert "fewer than 3 distinct rows" in capsys.readouterr().err
     assert not out.exists()
 
 

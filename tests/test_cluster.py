@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mixreg.cluster as cluster_mod
 from mixreg.cluster import kmeans, match_labels, refit_regression
 from mixreg.errors import DataValidationError, UnderdeterminedFitWarning
 from mixreg.model import Dataset, candidate_solution, recovery_error
@@ -47,12 +48,26 @@ def test_kmeans_deterministic():
     assert np.array_equal(a.centers, b.centers)
 
 
-def test_kmeans_inertia_monotone():
-    rng = np.random.default_rng(5)
-    pts = rng.standard_normal((60, 2))
-    result = kmeans(pts, 3, restarts=4, seed=0)
-    history = np.asarray(result.inertia_history)
-    assert np.all(np.diff(history) <= 1e-12)
+def test_kmeans_rejects_fewer_distinct_rows_than_k():
+    # plus-plus seeding would have to repeat a center, and the duplicate
+    # cluster could never gain a point: a k-class result with fewer classes
+    pts = np.array([[1.0], [1.0], [1.0], [2.0], [2.0], [2.0]])
+    assert kmeans(pts, 2, restarts=3).inertia == 0.0
+    with pytest.raises(DataValidationError, match="fewer than 3 distinct rows"):
+        kmeans(pts, 3, restarts=3)
+
+
+def test_lloyd_repairs_empty_clusters(monkeypatch):
+    # seeding at one point three times leaves two clusters empty; each is
+    # given the point farthest from its center, never the same point twice
+    pts = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 0.0], [10.0, 0.2]])
+    monkeypatch.setattr(
+        cluster_mod, "_plusplus_init", lambda points, k, rng: np.tile(points[0], (k, 1))
+    )
+    result = kmeans(pts, 3, restarts=1)
+    assert result.labels[0] == result.labels[1]
+    assert len(set(result.labels.tolist())) == 3
+    assert result.inertia == pytest.approx(2 * 0.05**2, rel=1e-12)
 
 
 def test_kmeans_validation():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixreg.errors import DataValidationError, DegenerateModelError
@@ -10,7 +10,6 @@ from mixreg.geometry import (
     _project_class,
     check_conditions,
     orthonormal_complement_bases,
-    orthonormal_complement_basis,
     weighted_directions,
 )
 from mixreg.model import Dataset, MixtureModel
@@ -71,19 +70,26 @@ def test_weighted_direction_rejects_k1():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+# betas 1.924, 1.245, 1.355 with sizes 8, 8, 7: class 2's direction is
+# (-8 + 8) / 16 = 0 exactly
+@example(k=3, d=1, seed=161)
 def test_weighted_directions_match_pairwise_sum(k, d, seed):
     rng = np.random.default_rng(seed)
     model = MixtureModel(rng.standard_normal((k, d)), rng.integers(1, 30, size=k))
-    V = weighted_directions(model)
-    assert V.shape == (k, d)
+    expected = np.zeros((k, d))
     for p in range(k):
-        acc = np.zeros(d)
         for q in range(k):
             if q != p:
                 diff = model.betas[p] - model.betas[q]
-                acc += model.sizes[q] * diff / np.linalg.norm(diff)
-        expected = acc / (model.m - model.sizes[p])
-        np.testing.assert_allclose(V[p], expected, rtol=1e-14, atol=1e-14)
+                expected[p] += model.sizes[q] * diff / np.linalg.norm(diff)
+        expected[p] /= model.sizes.sum() - model.sizes[p]
+    if not np.all(np.any(expected != 0.0, axis=1)):
+        with pytest.raises(DegenerateModelError, match="is zero"):
+            weighted_directions(model)
+        return
+    V = weighted_directions(model)
+    assert V.shape == (k, d)
+    np.testing.assert_allclose(V, expected, rtol=1e-14, atol=1e-14)
 
 
 def test_separation_ratio_cases():
@@ -112,7 +118,7 @@ def test_separation_ratio_pythagoras():
 
 
 def test_complement_basis_standard():
-    Q = orthonormal_complement_basis(np.eye(3)[0])
+    Q = orthonormal_complement_bases(np.eye(3)[:1])[0]
     assert Q.shape == (3, 2)
     assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-14)
     assert np.allclose(Q.T @ np.eye(3)[0], 0.0, atol=1e-14)
@@ -123,20 +129,19 @@ def test_complement_basis_standard():
 
 def test_complement_basis_properties():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        v = rng.standard_normal(6)
-        Q = orthonormal_complement_basis(v)
-        assert Q.shape == (6, 5)
+    vs = rng.standard_normal((25, 6))
+    Qs = orthonormal_complement_bases(vs)
+    assert Qs.shape == (25, 6, 5)
+    for v, Q in zip(vs, Qs):
         assert np.allclose(Q.T @ Q, np.eye(5), atol=1e-12)
         assert np.max(np.abs(Q.T @ v)) <= 1e-12 * np.linalg.norm(v)
-        again = orthonormal_complement_basis(v)
-        assert np.array_equal(Q, again)
+    assert np.array_equal(Qs, orthonormal_complement_bases(vs))
 
 
 def test_complement_basis_edge_cases():
-    assert orthonormal_complement_basis(np.array([3.0])).shape == (1, 0)
+    assert orthonormal_complement_bases(np.array([[3.0]])).shape == (1, 1, 0)
     with pytest.raises(DegenerateModelError):
-        orthonormal_complement_basis(np.zeros(3))
+        orthonormal_complement_bases(np.zeros((1, 3)))
 
 
 def test_complement_bases_match_rowwise():
@@ -146,8 +151,8 @@ def test_complement_bases_match_rowwise():
         vs[0] = -np.abs(vs[0])  # both signs of the leading entry
         Bs = orthonormal_complement_bases(vs)
         assert Bs.shape == (7, d, d - 1)
-        for v, B in zip(vs, Bs):
-            assert np.array_equal(B, orthonormal_complement_basis(v))
+        for v, B in zip(vs, Bs):  # a row's basis does not depend on the others
+            assert np.array_equal(B, orthonormal_complement_bases(v[None])[0])
     with pytest.raises(DegenerateModelError):
         orthonormal_complement_bases(np.array([[1.0, 0.0], [0.0, 0.0]]))
 

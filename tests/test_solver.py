@@ -23,6 +23,7 @@ from mixreg.solver import (
     SolverOptions,
     WeightMatrix,
     _bordered_solver,
+    _connected,
     _laplacian,
     _laplacian_pinv,
     _pairwise_sq_dists,
@@ -268,6 +269,18 @@ def test_weighted_ls_step_disconnected_graph_min_norm():
         Z = weighted_ls_step(ds, w)
     # with no coupling, each row is the closest point to the origin
     assert np.allclose(Z.z, np.eye(2), atol=1e-12)
+
+
+def test_connected_on_graphs_with_edges():
+    # {0, 1, 2} joined as a path and {3, 4}: the search from node 0 follows
+    # its edges and still finds a second component
+    w = np.zeros((5, 5))
+    for i, j in [(0, 1), (1, 2), (3, 4)]:
+        w[i, j] = w[j, i] = 1.0
+    assert _connected(w) is False
+    w[2, 3] = w[3, 2] = 0.5
+    assert _connected(w) is True
+    assert _connected(WeightMatrix.uniform(4).w) is True
 
 
 def test_weighted_ls_step_span_deficient_min_norm():
