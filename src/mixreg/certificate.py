@@ -1,17 +1,17 @@
 """Closed-form dual certificate for exact recovery of a labeled instance.
 
-For each class ``p`` with weighted direction ``v_p`` and size ``n_p``, the
-multipliers are
+Point ``i`` of class ``p`` (weighted direction ``v_p``, size ``n_p``) has
+the target ``c_i = (m - n_p) v_p``, and the multipliers are
 
-    nu_i   = sign(v_p.a_i) * ||v_p|| * (m - n_p) / ||P_v a_i||
+    nu_i   = ||c_i|| / (a_i . c_i / ||c_i||)
     xi_ij  = (nu_i * P_perp a_i - nu_j * P_perp a_j) / n_p
 
-where ``P_v`` / ``P_perp`` project onto ``span{v_p}`` and its complement.
+where ``P_perp`` projects onto the complement of ``span{c_i}``.
 The certificate proves the candidate solution (each point assigned its own
 class's coefficients) is the unique minimizer of the pairwise-fusion program
 when three conditions hold:
 
-* stationarity: ``nu_i a_i = sum_{j in class, j != i} xi_ij + (m - n_p) v_p``
+* stationarity: ``nu_i a_i = sum_{j in class, j != i} xi_ij + c_i``
   for every point;
 * strict bound: ``gamma = max ||xi_ij|| < 1``;
 * antisymmetry: ``xi_ij = -xi_ji`` (structural here: only the m x d rows
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateUndefinedError, DataValidationError
-from .geometry import _project_class, _resolve_directions, _spans
+from .geometry import _class_spans, _split_rows, _targets
 from .model import Dataset, MixtureModel, _frozen_array
 
 __all__ = ["Certificate", "CertificateVerdict", "build_certificate", "verify_certificate"]
@@ -116,30 +116,22 @@ class CertificateVerdict:
 def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
     """Construct the closed-form multipliers for a labeled instance.
 
-    Raises :class:`CertificateUndefinedError` if any measurement is exactly
-    orthogonal to its class direction (the formulas divide by that
-    projection's norm).
+    Raises :class:`CertificateUndefinedError` naming the first measurement
+    that is exactly orthogonal to its class direction (the formulas divide
+    by that projection).
     """
-    weighted = _resolve_directions(dataset, model)
-    m = dataset.m
-    nu = np.zeros(m)
-    rows = np.zeros_like(dataset.features)
-    for p in range(model.k):
-        members = dataset.class_members(p)
-        signs, par_norm, ortho, orthogonal = _project_class(
-            dataset.features[members], weighted[p]
+    targets = _targets(dataset, model)
+    coef, ortho, orthogonal = _split_rows(dataset.features, targets)
+    if np.any(orthogonal):
+        row = int(np.argmax(orthogonal))
+        raise CertificateUndefinedError(
+            f"certificate undefined: measurement row {row} is orthogonal "
+            f"to its class direction",
+            row_index=row,
         )
-        if np.any(orthogonal):
-            row = int(members[np.argmax(orthogonal)])
-            raise CertificateUndefinedError(
-                f"certificate undefined: measurement row {row} is orthogonal "
-                f"to its class direction",
-                row_index=row,
-            )
-        n_rest = m - members.size
-        nu[members] = signs * np.linalg.norm(weighted[p]) * n_rest / par_norm
-        rows[members] = nu[members][:, None] * ortho
-    return Certificate(nu=nu, rows=rows, labels=dataset.labels)
+    nu = np.linalg.norm(targets, axis=1) / coef
+    # the P_perp form: nu_i a_i - c_i cancels at small apertures
+    return Certificate(nu=nu, rows=nu[:, None] * ortho, labels=dataset.labels)
 
 
 def verify_certificate(
@@ -147,31 +139,30 @@ def verify_certificate(
 ) -> CertificateVerdict:
     """Check stationarity, the strict gamma bound, and the span condition.
 
-    The stationarity defect is compared against the relative bound
+    The targets are recomputed from ``(dataset, model)``.  The stationarity
+    defect is compared against the relative bound
     ``DEFAULT_S1_TOL * max_i ||nu_i a_i||``.  The gamma test is strict (no
     slack); values within 1e-9 below one are flagged as borderline.
     """
-    weighted = _resolve_directions(dataset, model)
+    targets = _targets(dataset, model)
     if not np.array_equal(cert.labels, dataset.labels):
         raise DataValidationError("certificate was built for different labels")
     if cert.nu.shape != (dataset.m,) or cert.rows.shape != dataset.features.shape:
         raise DataValidationError("certificate size does not match dataset")
 
-    s1_residual = 0.0
-    spans_ok = True
-    for p in range(model.k):
-        members = dataset.class_members(p)
-        R = cert.rows[members]
-        # sum_{j != i} xi_ij = rows[i] - mean of the class's rows
-        defect = (
-            cert.nu[members][:, None] * dataset.features[members]
-            - (R - R.mean(axis=0))
-            - (dataset.m - members.size) * weighted[p]
-        )
-        s1_residual = max(s1_residual, float(np.max(np.linalg.norm(defect, axis=1))))
-        spans_ok = spans_ok and _spans(dataset.features[members])
-
+    # sum_{j != i} xi_ij = rows[i] - mean of the class's rows
+    means = np.zeros((model.k, dataset.d))
+    np.add.at(means, dataset.labels, cert.rows)
+    means /= model.sizes[:, None]
+    defect = (
+        cert.nu[:, None] * dataset.features
+        - (cert.rows - means[dataset.labels])
+        - targets
+    )
     scale = float(np.max(np.abs(cert.nu) * np.linalg.norm(dataset.features, axis=1)))
     return CertificateVerdict(
-        s1_residual=s1_residual, s1_scale=scale, gamma=cert.gamma, spans_ok=spans_ok
+        s1_residual=float(np.max(np.linalg.norm(defect, axis=1))),
+        s1_scale=scale,
+        gamma=cert.gamma,
+        spans_ok=bool(np.all(_class_spans(dataset, model.k))),
     )

@@ -97,7 +97,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     Deterministic for a fixed seed: restart ``r`` draws from its own stream
     keyed by ``(seed, r)``, and the best run is chosen by lowest inertia with
     ties broken toward the lowest restart index.  Points with fewer than
-    ``k`` distinct rows raise :class:`DataValidationError`.
+    ``k`` distinct rows, or so far apart that their squared distances
+    overflow, raise :class:`DataValidationError`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -105,6 +106,11 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     if not np.all(np.isfinite(points)):
         raise DataValidationError("points contain non-finite values")
     m = points.shape[0]
+    with np.errstate(over="ignore"):
+        # bounds every sum of m squared distances Lloyd's algorithm forms
+        spread = m * np.sum((points.max(axis=0) - points.min(axis=0)) ** 2)
+    if not np.isfinite(spread):
+        raise DataValidationError("points are too far apart: squared distances overflow")
     if not 1 <= k <= m:
         raise DataValidationError(f"k must be in [1, {m}], got {k}")
     if restarts < 1:

@@ -118,7 +118,9 @@ def orthonormal_complement_bases(vs: np.ndarray) -> np.ndarray:
     return np.eye(d)[:, 1:] - coef[:, None, None] * (u[:, :, None] * u[:, None, 1:])
 
 
-def _resolve_directions(dataset: Dataset, model: MixtureModel) -> np.ndarray:
+def _targets(dataset: Dataset, model: MixtureModel) -> np.ndarray:
+    """Per-row targets of a labeled instance: ``(m, d)``, row ``i`` equal to
+    ``c_i = (m - n_p) v_p`` for point ``i``'s class ``p``."""
     if dataset.labels is None:
         raise DataValidationError("condition checks require labels")
     if model.k < 2:
@@ -135,23 +137,23 @@ def _resolve_directions(dataset: Dataset, model: MixtureModel) -> np.ndarray:
             f"label counts {counts.tolist()} disagree with model sizes "
             f"{model.sizes.tolist()}"
         )
-    return weighted_directions(model)
+    weighted = weighted_directions(model)
+    return ((dataset.m - model.sizes)[:, None] * weighted)[dataset.labels]
 
 
-def _project_class(A: np.ndarray, v: np.ndarray):
-    """Split the rows of ``A`` along ``v`` and its orthogonal complement.
+def _split_rows(A: np.ndarray, targets: np.ndarray):
+    """Split each row ``a_i`` of ``A`` along its target ``c_i`` and the
+    complement.
 
-    Returns ``(signs, par_norm, ortho, orthogonal)``: the sign of each row's
-    coefficient along ``v`` (sign(0) := +1), the norm of its projection onto
-    span{v}, the ``P_perp`` part of each row, and a mask of rows whose
-    projection onto span{v} is at rounding level.
+    Returns ``(coef, ortho, orthogonal)``: ``coef_i = a_i . c_i / ||c_i||``,
+    the ``P_perp`` part ``a_i - coef_i c_i / ||c_i||`` of each row, and a
+    mask of rows whose coefficient is at rounding level.
     """
-    vhat = v / np.linalg.norm(v)
-    coef = A @ vhat
-    par_norm = np.abs(coef)
-    ortho = A - np.outer(coef, vhat)
-    orthogonal = par_norm <= ORTHO_RTOL * np.linalg.norm(A, axis=1)
-    return np.where(coef >= 0.0, 1.0, -1.0), par_norm, ortho, orthogonal
+    chat = targets / np.linalg.norm(targets, axis=1)[:, None]
+    coef = np.einsum("ij,ij->i", A, chat)
+    ortho = A - coef[:, None] * chat
+    orthogonal = np.abs(coef) <= ORTHO_RTOL * np.linalg.norm(A, axis=1)
+    return coef, ortho, orthogonal
 
 
 def _spans(A: np.ndarray, rtol: float = RANK_RTOL) -> bool:
@@ -161,33 +163,32 @@ def _spans(A: np.ndarray, rtol: float = RANK_RTOL) -> bool:
     return int(np.sum(svals > rtol * svals[0])) == A.shape[1]
 
 
+def _class_spans(dataset: Dataset, k: int) -> np.ndarray:
+    """:func:`_spans` of each class's rows; class sizes differ, so one SVD
+    per class."""
+    return np.array([_spans(dataset.features[dataset.labels == p]) for p in range(k)])
+
+
 def check_conditions(dataset: Dataset, model: MixtureModel) -> ConditionReport:
     """Evaluate well-separation, balance, and span for a labeled instance.
 
     A point with no component along its class direction makes the separation
-    ratio infinite; that is reported (lhs = inf, well_separated = False)
-    rather than raised.
+    ratio and its class's balance residual infinite; that is reported
+    (lhs = inf, well_separated = False) rather than raised.
     """
-    weighted = _resolve_directions(dataset, model)
-    k = model.k
-    lhs = 0.0
-    taus = np.zeros(k)
-    span_ok = np.zeros(k, dtype=bool)
-    for p in range(k):
-        A = dataset.features[dataset.class_members(p)]
-        signs, par_norm, ortho, orthogonal = _project_class(A, weighted[p])
-        if np.any(orthogonal):
-            lhs = math.inf
-            taus[p] = math.inf
-        else:
-            lhs = max(lhs, float(np.max(np.linalg.norm(ortho, axis=1) / par_norm)))
-            total = (signs / par_norm)[:, None] * ortho
-            taus[p] = float(np.linalg.norm(total.sum(axis=0)) / A.shape[0])
-        span_ok[p] = _spans(A)
+    coef, ortho, orthogonal = _split_rows(dataset.features, _targets(dataset, model))
+    labels = dataset.labels
+    coef = np.where(orthogonal, 1.0, coef)  # orthogonal rows are reported as inf
+    ratios = np.linalg.norm(ortho, axis=1) / np.abs(coef)
+    lhs = math.inf if np.any(orthogonal) else float(np.max(ratios))
+    sums = np.zeros((model.k, dataset.d))
+    np.add.at(sums, labels, (1.0 / coef)[:, None] * ortho)
+    taus = np.linalg.norm(sums, axis=1) / model.sizes
+    taus[labels[orthogonal]] = math.inf
     rhs = 0.5 * float(model.sizes.min()) / dataset.m
     return ConditionReport(
         separation_lhs=lhs,
         separation_rhs=rhs,
         balance_residuals=taus,
-        span_ok=span_ok,
+        span_ok=_class_spans(dataset, model.k),
     )

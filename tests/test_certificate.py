@@ -12,7 +12,7 @@ from mixreg.errors import (
     DataValidationError,
     DegenerateModelError,
 )
-from mixreg.geometry import _project_class, check_conditions, weighted_directions
+from mixreg.geometry import _split_rows, check_conditions, weighted_directions
 from mixreg.model import Dataset, MixtureModel, candidate_solution, recovery_error
 from mixreg.solver import irls_solve
 from mixreg.synth import Sim1Config, Sim2Config, gen_sim1, gen_sim2
@@ -76,11 +76,12 @@ def test_verdict_on_separated_instance(sim1_instance):
 def test_gamma_bound_chain(sim1_instance):
     dataset, model = sim1_instance
     cert = build_certificate(dataset, model)
-    for p, v in enumerate(weighted_directions(model)):
+    V = weighted_directions(model)
+    coef, ortho, orthogonal = _split_rows(dataset.features, V[dataset.labels])
+    assert not np.any(orthogonal)
+    for p, v in enumerate(V):
         members = dataset.class_members(p)
-        _, par_norm, ortho, orthogonal = _project_class(dataset.features[members], v)
-        assert not np.any(orthogonal)
-        ratios = np.linalg.norm(ortho, axis=1) / par_norm
+        ratios = np.linalg.norm(ortho[members], axis=1) / np.abs(coef[members])
         n_p = members.size
         bound = 2.0 * max(ratios) * dataset.m * np.linalg.norm(v) / n_p
         gamma_p = max(
@@ -132,6 +133,20 @@ def test_orthogonal_point_raises_with_index():
     with pytest.raises(CertificateUndefinedError) as err:
         build_certificate(dataset, model)
     assert err.value.row_index == 1
+
+
+def test_orthogonal_point_reports_first_row():
+    # rows 0 (class 1) and 3 (class 0) are orthogonal to their class
+    # directions +-(e1 - e2) / sqrt(2); the first of them is named
+    feats = np.array([
+        [1.0, 1.0], [1.0, -0.5], [-1.0, 0.8], [0.5, 0.5], [0.9, -1.0], [-1.0, 1.2],
+    ])
+    labels = np.array([1, 0, 1, 0, 0, 1])
+    betas = np.eye(2)
+    dataset = Dataset(feats, np.einsum("ij,ij->i", feats, betas[labels]), labels)
+    with pytest.raises(CertificateUndefinedError) as err:
+        build_certificate(dataset, MixtureModel(betas, np.array([3, 3])))
+    assert err.value.row_index == 0
 
 
 def test_zero_weighted_direction_raises():

@@ -121,6 +121,22 @@ def test_certify_orthogonal_point_structured_verdict(tmp_path):
     assert payload["certificate"]["row_index"] == 1
 
 
+def test_certify_names_the_first_orthogonal_row(tmp_path, capsys):
+    # rows 0 (class 2) and 3 (class 1) are orthogonal to their class
+    # directions +-(e1 - e2) / sqrt(2)
+    data = tmp_path / "orth.csv"
+    data.write_text(
+        "a_1,a_2,b,label\n1,1,1,2\n1,-0.5,1,1\n-1,0.8,0.8,2\n"
+        "0.5,0.5,0.5,1\n0.9,-1,0.9,1\n-1,1.2,1.2,2\n"
+    )
+    betas = tmp_path / "betas.json"
+    betas.write_text(json.dumps({"betas": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert main(["certify", str(data), "--betas", str(betas)]) == 3
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["certificate"]["row_index"] == 0
+    assert payload["conditions"]["balance_residuals"] == ["inf", "inf"]
+
+
 def test_certify_stdout_is_one_json_document(
     tmp_path, capsys, two_lines_path, two_lines_betas_path
 ):
@@ -209,6 +225,15 @@ def test_fit_rejects_more_classes_than_distinct_rows(tmp_path, capsys):
     out.unlink()
     assert main(["fit", str(data), "--k", "3", "-o", str(out)]) == 2
     assert "fewer than 3 distinct rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_estimates_whose_distances_overflow(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("a_1,b\n1,1e200\n1,-1e200\n1,0\n1,1\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(data), "--k", "2", "-o", str(out)]) == 2
+    assert "squared distances overflow" in capsys.readouterr().err
     assert not out.exists()
 
 

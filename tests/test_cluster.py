@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ def test_kmeans_rejects_non_finite_points():
     pts = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 2.0]])
     with pytest.raises(DataValidationError, match="non-finite"):
         kmeans(pts, 2)
+
+
+def test_kmeans_rejects_points_whose_distances_overflow():
+    # the squared distance 4e400 is not a float; plus-plus seeding would
+    # divide inf by inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataValidationError, match="squared distances overflow"):
+            kmeans(np.array([[1e200], [-1e200], [0.0]]), 2)
+        # each squared distance is finite, their sum over the points is not
+        with pytest.raises(DataValidationError, match="squared distances overflow"):
+            kmeans(np.repeat([[1e153], [-1e153]], 60, axis=0), 2)
+        assert kmeans(np.array([[1e150], [-1e150], [0.0]]), 2).inertia > 0.0
 
 
 def test_refit_exact_interpolation():

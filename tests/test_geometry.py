@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from mixreg.errors import DataValidationError, DegenerateModelError
 from mixreg.geometry import (
-    _project_class,
+    _split_rows,
     check_conditions,
     orthonormal_complement_bases,
     weighted_directions,
@@ -18,9 +19,9 @@ from mixreg.synth import Sim2Config, gen_sim2
 
 def _ratio(a, v):
     """One point's separation ratio ``||P_perp a|| / ||P_v a||``, or ``inf``
-    when ``_project_class`` marks it orthogonal to ``v``."""
-    _, par_norm, ortho, orthogonal = _project_class(np.asarray(a, float)[None], v)
-    return math.inf if orthogonal[0] else float(np.linalg.norm(ortho[0]) / par_norm[0])
+    when ``_split_rows`` marks it orthogonal to ``v``."""
+    coef, ortho, orthogonal = _split_rows(np.asarray(a, float)[None], v[None])
+    return math.inf if orthogonal[0] else float(np.linalg.norm(ortho[0]) / abs(coef[0]))
 
 
 def test_direction_between_basic():
@@ -73,6 +74,9 @@ def test_weighted_direction_rejects_k1():
 # betas 1.924, 1.245, 1.355 with sizes 8, 8, 7: class 2's direction is
 # (-8 + 8) / 16 = 0 exactly
 @example(k=3, d=1, seed=161)
+# betas 1.79, -1.63, 0.32 with sizes 3, 3, 23: class 2's direction is
+# (-3 + 3) / 6 = 0 exactly, which the reference's unit vectors reproduce
+@example(k=3, d=1, seed=4101929)
 def test_weighted_directions_match_pairwise_sum(k, d, seed):
     rng = np.random.default_rng(seed)
     model = MixtureModel(rng.standard_normal((k, d)), rng.integers(1, 30, size=k))
@@ -81,7 +85,7 @@ def test_weighted_directions_match_pairwise_sum(k, d, seed):
         for q in range(k):
             if q != p:
                 diff = model.betas[p] - model.betas[q]
-                expected[p] += model.sizes[q] * diff / np.linalg.norm(diff)
+                expected[p] += model.sizes[q] * (diff / np.linalg.norm(diff))
         expected[p] /= model.sizes.sum() - model.sizes[p]
     if not np.all(np.any(expected != 0.0, axis=1)):
         with pytest.raises(DegenerateModelError, match="is zero"):
@@ -177,6 +181,23 @@ def test_check_conditions_sim2_imbalance():
     report = check_conditions(dataset, model)
     assert report.balance_residuals[2] == pytest.approx(0.05, abs=1e-10)
     assert np.all(report.balance_residuals[:2] <= 1e-12)
+
+
+def test_check_conditions_interleaved_orthogonal_rows():
+    # v_p is proportional to 3 e_p - (1, 1, 1): row 3 (class 0) and row 8
+    # (class 2) are orthogonal to their class directions, class 1 has none
+    labels = np.array([2, 0, 1, 0, 2, 1, 0, 1, 2])
+    feats = np.eye(3)[labels] + 0.1 * np.random.default_rng(0).standard_normal((9, 3))
+    feats[3] = [0.0, 1.0, -1.0]
+    feats[8] = [1.0, -1.0, 0.0]
+    betas = np.eye(3)
+    dataset = Dataset(feats, np.einsum("ij,ij->i", feats, betas[labels]), labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by the zero coefficients
+        report = check_conditions(dataset, MixtureModel(betas, np.array([3, 3, 3])))
+    assert math.isinf(report.separation_lhs)
+    assert not report.well_separated
+    assert np.array_equal(np.isinf(report.balance_residuals), [True, False, True])
 
 
 def test_balance_residual_scale_invariant():
