@@ -19,6 +19,7 @@ from .model import Dataset, _frozen_array
 __all__ = ["ClusteringResult", "RefitResult", "kmeans", "refit_regression", "match_labels"]
 
 LLOYD_MAX_ITER = 300
+_OVERFLOW = "points are too far apart: squared distances overflow"
 
 
 @dataclass(frozen=True)
@@ -47,32 +48,37 @@ def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     m = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(m)]
-    sq = np.sum((points - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = sq.sum()
-        if not total > 0:  # every point coincides with a chosen center
-            raise DataValidationError(
-                f"cannot form {k} clusters: the points have fewer than "
-                f"{k} distinct rows"
-            )
-        idx = rng.choice(m, p=sq / total)
-        centers[c] = points[idx]
-        sq = np.minimum(sq, np.sum((points - centers[c]) ** 2, axis=1))
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        sq = np.sum((points - centers[0]) ** 2, axis=1)
+        for c in range(1, k):
+            total = sq.sum()
+            if total == np.inf:
+                raise DataValidationError(_OVERFLOW)
+            if not total > 0:  # every point coincides with a chosen center
+                raise DataValidationError(
+                    f"cannot form {k} clusters: the points have fewer than "
+                    f"{k} distinct rows"
+                )
+            idx = rng.choice(m, p=sq / total)
+            centers[c] = points[idx]
+            sq = np.minimum(sq, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray):
-    d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)  # argmin ties break toward the lowest index
-    return labels, d2
+    """Labels, each point's squared distance to its center, and their sum."""
+    with np.errstate(over="ignore"):  # kmeans refuses an inf inertia
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)  # argmin ties break toward the lowest index
+        dist = d2[np.arange(points.shape[0]), labels]
+        return labels, dist, float(dist.sum())
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     centers = _plusplus_init(points, k, rng)
-    labels, d2 = _assign(points, centers)
+    labels, dist, inertia = _assign(points, centers)
     for _ in range(LLOYD_MAX_ITER):
         new_centers = centers.copy()
-        dist = d2[np.arange(points.shape[0]), labels].copy()
         for c in range(k):
             mask = labels == c
             if np.any(mask):
@@ -82,13 +88,11 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
                 far = int(np.argmax(dist))
                 new_centers[c] = points[far]
                 dist[far] = -1.0  # not reused by another empty cluster
-        new_labels, d2 = _assign(points, new_centers)
-        centers = new_centers
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        centers, old_labels = new_centers, labels
+        labels, dist, inertia = _assign(points, centers)
+        if np.array_equal(labels, old_labels):
             break
-        labels = new_labels
-    return centers, labels, float(d2[np.arange(points.shape[0]), labels].sum())
+    return centers, labels, inertia
 
 
 def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResult:
@@ -97,8 +101,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     Deterministic for a fixed seed: restart ``r`` draws from its own stream
     keyed by ``(seed, r)``, and the best run is chosen by lowest inertia with
     ties broken toward the lowest restart index.  Points with fewer than
-    ``k`` distinct rows, or so far apart that their squared distances
-    overflow, raise :class:`DataValidationError`.
+    ``k`` distinct rows, or whose plus-plus seeding total (in any restart)
+    or best inertia overflows, raise :class:`DataValidationError`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -106,11 +110,6 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     if not np.all(np.isfinite(points)):
         raise DataValidationError("points contain non-finite values")
     m = points.shape[0]
-    with np.errstate(over="ignore"):
-        # bounds every sum of m squared distances Lloyd's algorithm forms
-        spread = m * np.sum((points.max(axis=0) - points.min(axis=0)) ** 2)
-    if not np.isfinite(spread):
-        raise DataValidationError("points are too far apart: squared distances overflow")
     if not 1 <= k <= m:
         raise DataValidationError(f"k must be in [1, {m}], got {k}")
     if restarts < 1:
@@ -122,6 +121,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
         if best is None or inertia < best[0]:
             best = (inertia, centers, labels)
     inertia, centers, labels = best
+    if inertia == np.inf:
+        raise DataValidationError(_OVERFLOW)
     return ClusteringResult(centers=centers, labels=labels, inertia=inertia)
 
 

@@ -88,17 +88,29 @@ def test_kmeans_rejects_non_finite_points():
         kmeans(pts, 2)
 
 
-def test_kmeans_rejects_points_whose_distances_overflow():
-    # the squared distance 4e400 is not a float; plus-plus seeding would
-    # divide inf by inf
+def test_kmeans_rejects_only_sums_that_overflow():
+    overflow = "squared distances overflow"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataValidationError, match="squared distances overflow"):
+        # the squared distance 4e400 is not a float; plus-plus seeding would
+        # divide inf by inf
+        with pytest.raises(DataValidationError, match=overflow):
             kmeans(np.array([[1e200], [-1e200], [0.0]]), 2)
-        # each squared distance is finite, their sum over the points is not
-        with pytest.raises(DataValidationError, match="squared distances overflow"):
-            kmeans(np.repeat([[1e153], [-1e153]], 60, axis=0), 2)
-        assert kmeans(np.array([[1e150], [-1e150], [0.0]]), 2).inertia > 0.0
+        # one center: no seeding total, but the inertia is inf
+        with pytest.raises(DataValidationError, match=overflow):
+            kmeans(np.array([[1e200], [-1e200], [0.0]]), 1)
+        # each squared distance is about 1e308, the seeding total 2e308 is inf
+        side = 1e154
+        triangle = np.array([[0.0, 0.0], [side, 0.0], [side / 2, side * 3**0.5 / 2]])
+        with pytest.raises(DataValidationError, match=overflow):
+            kmeans(triangle, 2)
+        # m times the squared spread (60 * 4e306) overflows, but every seeding
+        # total is 30 * 4e306 and the inertia is rounding: these cluster
+        pair = np.repeat([[1e153], [-1e153]], 30, axis=0)
+        result = kmeans(pair, 2)
+        assert np.bincount(result.labels).tolist() == [30, 30]
+        np.testing.assert_allclose(np.sort(result.centers[:, 0]), [-1e153, 1e153], rtol=1e-14)
+        assert result.inertia < 1e-20 * 4e306
 
 
 def test_refit_exact_interpolation():
