@@ -79,15 +79,18 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     labels, dist, inertia = _assign(points, centers)
     for _ in range(LLOYD_MAX_ITER):
         new_centers = centers.copy()
-        for c in range(k):
-            mask = labels == c
-            if np.any(mask):
-                new_centers[c] = points[mask].mean(axis=0)
-            else:
-                # repair: the point farthest from its center becomes this one
-                far = int(np.argmax(dist))
-                new_centers[c] = points[far]
-                dist[far] = -1.0  # not reused by another empty cluster
+        with np.errstate(over="ignore"):  # an overflowed mean is refused below
+            for c in range(k):
+                mask = labels == c
+                if np.any(mask):
+                    new_centers[c] = points[mask].mean(axis=0)
+                else:
+                    # repair: the point farthest from its center becomes this one
+                    far = int(np.argmax(dist))
+                    new_centers[c] = points[far]
+                    dist[far] = -1.0  # not reused by another empty cluster
+        if np.isinf(new_centers).any():  # a cluster's coordinate sum overflowed
+            raise DataValidationError("points are too large: a cluster mean overflows")
         centers, old_labels = new_centers, labels
         labels, dist, inertia = _assign(points, centers)
         if np.array_equal(labels, old_labels):
@@ -101,8 +104,9 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     Deterministic for a fixed seed: restart ``r`` draws from its own stream
     keyed by ``(seed, r)``, and the best run is chosen by lowest inertia with
     ties broken toward the lowest restart index.  Points with fewer than
-    ``k`` distinct rows, or whose plus-plus seeding total (in any restart)
-    or best inertia overflows, raise :class:`DataValidationError`.
+    ``k`` distinct rows, or whose plus-plus seeding total, cluster mean
+    (both in any restart) or best inertia overflows, raise
+    :class:`DataValidationError`.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:

@@ -12,39 +12,42 @@ solved by alternating two steps from uniform initial weights:
    fixed smoothing constant ``DELTA = 1e-16``.
 
 Each subproblem is solved exactly, by one order of solves chosen only by
-what the solves observe:
+whether the subproblem is unique and what the solves observe:
 
-* **Reduced solve, always first.**  The stationarity condition
-  ``2 L Z = diag(lam) A_rows``, with ``L`` the weighted graph Laplacian, is
-  eliminated through the Laplacian pseudoinverse, leaving an (m + d)
-  saddle-point system in the multipliers plus the free mean translation.
-  ``L^+`` comes from one Cholesky factor of ``L + (s/m) 11^T``.  The
-  multiplier block ``S11 = (1/2) (L^+ o G)``, with ``G`` the Gram matrix of
-  the measurement vectors, is positive definite whenever the graph is
-  connected and the vectors span the space (Schur product theorem: no
-  ``x != 0`` makes every ``x_i a_i`` the same vector), so the bordered
-  system is solved through Cholesky factors of ``S11`` and of its d x d
-  Schur complement ``A^T S11^-1 A``, each checked against the
+* **Reduced solve, first for a unique subproblem.**  The stationarity
+  condition ``2 L Z = diag(lam) A_rows``, with ``L`` the weighted graph
+  Laplacian, is eliminated through the Laplacian pseudoinverse, leaving an
+  (m + d) saddle-point system in the multipliers plus the free mean
+  translation.  ``L^+`` comes from one Cholesky factor of
+  ``L + (s/m) 11^T``.  The multiplier block ``S11 = (1/2) (L^+ o G)``, with
+  ``G`` the Gram matrix of the measurement vectors, is positive definite
+  whenever the graph is connected and the vectors span the space (Schur
+  product theorem: no ``x != 0`` makes every ``x_i a_i`` the same vector),
+  so the bordered system is solved through Cholesky factors of ``S11`` and
+  of its d x d Schur complement ``A^T S11^-1 A``, each checked against the
   condition-estimate floor ``RCOND_MIN = 1e-14``, and refined once
   (Nocedal & Wright, *Numerical Optimization*, §16.2; Higham, *Accuracy and
   Stability of Numerical Algorithms*, ch. 12).
-* **Null-space fallback.**  When the reduced solve breaks down, or its
-  result misses the stationarity guard (fused points put weights near
-  ``DELTA**-0.5`` beside O(1) ones and ``L^+`` loses accuracy), each row is
-  written as ``z_i = z0_i + B_i y_i`` with ``B_i`` an orthonormal basis of
-  the complement of ``a_i``.  The positive definite ``m (d-1)`` system in
-  ``y`` is factored by Cholesky, checked against the same floor and refined
-  once.
+* **Null-space solve.**  It answers every subproblem the reduced solve does
+  not: a unique one whose reduced solve breaks down or misses the
+  stationarity guard (fused points put weights near ``DELTA**-0.5`` beside
+  O(1) ones and ``L^+`` loses accuracy), and every non-unique one.  Each row
+  is written as ``z_i = z0_i + B_i y_i`` with ``B_i`` an orthonormal basis
+  of the complement of ``a_i``.  For a unique subproblem the ``m (d-1)``
+  system in ``y`` is positive definite and is factored by Cholesky, checked
+  against the same floor and refined once; otherwise it is singular and its
+  least-squares solve gives the minimum-norm minimizer.
 
-Both results are re-projected onto the constraint hyperplanes and must pass
-the KKT stationarity and feasibility guards; a null-space result that
-misses them raises :class:`NumericalError`.  With d = 1, ``S11`` is
-singular, the floor rejects it and the null-space route pins each row.
+Every result is re-projected onto the constraint hyperplanes and must pass
+the same per-row KKT stationarity guard and the feasibility guard; a
+null-space result that misses them raises :class:`NumericalError`.  With
+d = 1, ``S11`` is singular, the floor rejects it and the null-space solve
+pins each row.
 
 Degenerate subproblems (disconnected weight graph, or measurement vectors
-that do not span the full space) have multiple minimizers; the minimum-norm
-one, the least-squares solution of the same null-space system, is returned
-along with a :class:`NonUniqueSolutionWarning`.
+that do not span the full space) have multiple minimizers; they go straight
+to the null-space solve, which returns the minimum-norm one, along with a
+:class:`NonUniqueSolutionWarning`.
 
 The alternation S (reweight from a field, then solve the subproblem) is a
 majorize-minimize map that converges linearly, and the loop accelerates it
@@ -92,7 +95,6 @@ from .model import (
     EstimateField,
     MixtureModel,
     _as_matrix,
-    feasibility_residual,
     recovery_error,
 )
 
@@ -383,62 +385,38 @@ def _solve_reduced_kkt(features, responses, L, gram):
     return z, -(lam + dlam)
 
 
-def _null_space_system(rows: _Rows, L):
-    """The subproblem in null-space coordinates ``z_i = z0_i + B_i y_i``.
+def _solve_null_space(rows: _Rows, L, unique: bool):
+    """Null-space solve of the subproblem (Nocedal & Wright, §16.2).
 
-    ``z0_i`` is the point of hyperplane i closest to the origin and ``B_i``
-    an orthonormal basis of the complement of ``a_i``, so every ``y`` is
-    feasible and the objective ``2 tr(Z^T L Z)`` becomes
-    ``(1/2) y^T H y + g^T y + const`` with ``H = 4 [L_ij B_i^T B_j]`` and
-    ``g_i = 4 B_i^T (L z0)_i``.  Returns ``(z0, B, H, g)``; for d = 1 the
-    system is empty.
+    Each row is written as ``z_i = z0_i + B_i y_i``, with ``z0_i`` the point
+    of hyperplane i closest to the origin and ``B_i`` an orthonormal basis of
+    the complement of ``a_i``, so every ``y`` is feasible and the objective
+    ``2 tr(Z^T L Z)`` becomes ``(1/2) y^T H y + g^T y + const`` with
+    ``H = 4 [L_ij B_i^T B_j]`` and ``g_i = 4 B_i^T (L z0)_i``.  For a
+    ``unique`` subproblem ``H`` is positive definite; it is factored by
+    Cholesky, checked against ``RCOND_MIN`` and refined once.  Otherwise
+    ``H`` is singular and its least-squares solve picks the minimum-norm
+    minimizer.  For d = 1 each constraint pins its row: ``z = z0``.
     """
     features = rows.features
     m, d = features.shape
-    nd = d - 1
     z0 = (rows.responses / rows.sq_norms)[:, None] * features
+    if d == 1:
+        return z0
+    nd = d - 1
     B = orthonormal_complement_bases(features)
     flat = B.transpose(1, 0, 2).reshape(d, m * nd)  # [B_1, ..., B_m]
     H = flat.T @ flat
     blocks = H.reshape(m, nd, m, nd)
     blocks *= 4.0 * L[:, None, :, None]
     g = 4.0 * np.einsum("ijk,ij->ik", B, L @ z0).ravel()
-    return z0, B, H, g
-
-
-def _from_null_space(z0, B, y):
-    return z0 + np.einsum("ijk,ik->ij", B, y.reshape(B.shape[0], B.shape[2]))
-
-
-def _solve_null_space(rows: _Rows, L):
-    """Null-space solve of a unique subproblem (Nocedal & Wright, §16.2).
-
-    ``H`` is positive definite when the graph is connected and the
-    measurement vectors span the space; it is factored by Cholesky, checked
-    against ``RCOND_MIN`` and refined once.
-    """
-    z0, B, H, g = _null_space_system(rows, L)
-    if H.size == 0:  # d = 1: each constraint pins its row
-        return z0
-    solve = _cholesky_solver(H, "null-space")
-    y = solve(-g)
-    y = y + solve(-g - H @ y)  # one refinement step
-    return _from_null_space(z0, B, y)
-
-
-def _solve_min_norm(rows: _Rows, L):
-    """Minimum-norm minimizer of a non-unique subproblem.
-
-    The null-space system is singular here; its least-squares solve picks
-    the minimum-norm stationary point.
-    """
-    z0, B, H, g = _null_space_system(rows, L)
-    y, *_ = np.linalg.lstsq(H, -g, rcond=None)
-    H_norm = np.abs(H).sum(axis=1).max(initial=0.0)
-    scale = max(1.0, H_norm * np.abs(y).max(initial=0.0))
-    if float(np.max(np.abs(H @ y + g), initial=0.0)) > SUBPROBLEM_TOL * scale:
-        raise NumericalError("null-space normal equations are inconsistent")
-    return _from_null_space(z0, B, y)
+    if unique:
+        solve = _cholesky_solver(H, "null-space")
+        y = solve(-g)
+        y = y + solve(-g - H @ y)  # one refinement step
+    else:
+        y = np.linalg.lstsq(H, -g, rcond=None)[0]
+    return z0 + np.einsum("ijk,ik->ij", B, y.reshape(m, nd))
 
 
 def _stationarity_defect(L, z, nu, rows: _Rows) -> float:
@@ -459,24 +437,6 @@ def _stationarity_defect(L, z, nu, rows: _Rows) -> float:
     return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
 
 
-def _solve_unique(rows: _Rows, L):
-    """Reduced solve first; the null-space solve when it breaks down or its
-    projected result misses the stationarity guard."""
-    try:
-        z, nu = _solve_reduced_kkt(rows.features, rows.responses, L, rows.gram)
-    except NumericalError:
-        pass
-    else:
-        z = _project_rows(z, rows)
-        if _stationarity_defect(L, z, nu, rows) <= SUBPROBLEM_TOL:
-            return z
-    z = _project_rows(_solve_null_space(rows, L), rows)
-    nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
-    if _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL:
-        raise NumericalError("KKT stationarity residual above tolerance")
-    return z
-
-
 def weighted_ls_step(dataset: Dataset, weights: WeightMatrix) -> EstimateField:
     """Exact minimizer of the weighted quadratic under the row constraints.
 
@@ -494,20 +454,31 @@ def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
     of matching size, supplied by the caller.  Returns the minimizer and its
     largest constraint gap ``max_i |a_i^T z_i - b_i|``."""
     L = _laplacian(w)
-
-    degenerate = None
-    if not _connected(w):
-        degenerate = "weight graph is disconnected; returning the minimum-norm minimizer"
-    elif not rows.span_full:
-        degenerate = (
+    connected = _connected(w)
+    unique = connected and rows.span_full
+    z = None
+    if unique:  # the reduced solve first, kept if it passes the guard
+        try:
+            z, nu = _solve_reduced_kkt(rows.features, rows.responses, L, rows.gram)
+        except NumericalError:
+            pass
+        else:
+            z = _project_rows(z, rows)
+            if _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL:
+                z = None
+    else:
+        warnings.warn(
             "measurement vectors do not span the full space; subproblem is "
             "non-unique, returning the minimum-norm minimizer"
+            if connected
+            else "weight graph is disconnected; returning the minimum-norm minimizer",
+            NonUniqueSolutionWarning,
         )
-    if degenerate is None:
-        z = _solve_unique(rows, L)
-    else:
-        warnings.warn(degenerate, NonUniqueSolutionWarning)
-        z = _project_rows(_solve_min_norm(rows, L), rows)
+    if z is None:
+        z = _project_rows(_solve_null_space(rows, L, unique), rows)
+        nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
+        if _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL:
+            raise NumericalError("KKT stationarity residual above tolerance")
 
     gap = _feasibility_gap(rows, z)
     if gap is None:
@@ -528,17 +499,19 @@ def _feasibility_gap(rows: _Rows, z) -> float | None:
 
 def _certified_field(
     dataset: Dataset, rows: _Rows, z: np.ndarray, k: int
-) -> EstimateField | None:
+) -> tuple[EstimateField, float] | None:
     """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
-    if that field is feasible and the closed-form certificate proves it the
-    program's unique minimizer; ``None`` otherwise."""
+    with its largest constraint gap, if that field is feasible and the
+    closed-form certificate proves it the program's unique minimizer;
+    ``None`` otherwise."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderdeterminedFitWarning)
         try:
             labels = kmeans(z, k, restarts=_EXIT_RESTARTS, seed=0).labels
             betas = refit_regression(dataset, labels).betas_hat
             snapped = betas[labels]
-            if _feasibility_gap(rows, snapped) is None:
+            gap = _feasibility_gap(rows, snapped)
+            if gap is None:
                 return None
             labeled = Dataset(dataset.features, dataset.responses, labels)
             model = MixtureModel(betas, np.bincount(labels))
@@ -547,7 +520,7 @@ def _certified_field(
             )
         except (MixregError, UnderdeterminedFitWarning):
             return None
-    return EstimateField(snapped) if verdict.certifies else None
+    return (EstimateField(snapped), gap) if verdict.certifies else None
 
 
 def _squarem_point(x: np.ndarray, f1: np.ndarray, f2: np.ndarray, rows: _Rows):
@@ -600,6 +573,8 @@ def irls_solve(
     :class:`WeightMatrix` validation.
 
     Non-convergence is reported through ``trace.converged``, not raised.
+    A solve whose squared distances overflow (estimates near +-1e200) raises
+    :class:`DataValidationError`.
     """
     if k is not None and not 1 <= k <= dataset.m:
         raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
@@ -617,6 +592,10 @@ def irls_solve(
         z, gap = _weighted_ls(rows, w)
         Z = EstimateField(z)
         w, objective = _reweight(Z.z, DELTA)  # next weights, this objective
+        if objective == np.inf:
+            raise DataValidationError(
+                "estimates are too far apart: squared distances overflow"
+            )
         history.append(objective)
         max_feas = max(max_feas, gap)
         if base is not None:
@@ -625,8 +604,9 @@ def irls_solve(
             next_exit *= 2
             certified = _certified_field(dataset, rows, Z.z, k)
             if certified is not None:
-                max_feas = max(max_feas, feasibility_residual(certified, dataset))
-                Z, stop_reason = certified, "certified"
+                Z, certified_gap = certified
+                max_feas = max(max_feas, certified_gap)
+                stop_reason = "certified"
                 break
         if step is not None and step < opts.stop_tol:
             stop_reason = "step"

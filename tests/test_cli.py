@@ -237,6 +237,17 @@ def test_fit_rejects_estimates_whose_distances_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_estimates_whose_distances_overflow(tmp_path, capsys):
+    # the first solve pins each d = 1 row at +-1e200; its distance pass
+    # overflows, and the solver refuses it instead of writing Infinity
+    data = tmp_path / "big.csv"
+    data.write_text("a_1,b\n1,1e200\n1,-1e200\n1,0\n1,1\n")
+    out, trace = tmp_path / "z.csv", tmp_path / "trace.json"
+    assert main(["solve", str(data), "-o", str(out), "--trace-out", str(trace)]) == 2
+    assert "estimates are too far apart" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
 def test_fit_rejects_zero_restarts(tmp_path, capsys, two_lines_path):
     # two_lines certifies, so without an up-front check k-means would never
     # see restarts = 0 and the run would succeed

@@ -111,6 +111,11 @@ def test_kmeans_rejects_only_sums_that_overflow():
         assert np.bincount(result.labels).tolist() == [30, 30]
         np.testing.assert_allclose(np.sort(result.centers[:, 0]), [-1e153, 1e153], rtol=1e-14)
         assert result.inertia < 1e-20 * 4e306
+        # every squared distance is 0 or 1, but two coordinates of 1.5e308
+        # sum to inf: the cluster mean would be an inf center
+        near_limit = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 1.0]])
+        with pytest.raises(DataValidationError, match="cluster mean overflows"):
+            kmeans(near_limit, 2)
 
 
 def test_refit_exact_interpolation():

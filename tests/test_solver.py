@@ -29,6 +29,7 @@ from mixreg.solver import (
     _pairwise_sq_dists,
     _project_rows,
     _rows,
+    _solve_null_space,
     _solve_reduced_kkt,
     _stationarity_defect,
     irls_solve,
@@ -230,6 +231,25 @@ def test_weighted_ls_step_fused_points_fallback():
     z = _project_rows(z, rows)
     assert _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL
     _assert_matches_eqp(ds, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bordered_systems())
+def test_null_space_least_squares_matches_cholesky_on_unique_subproblems(system):
+    # on a unique subproblem the minimum-norm least-squares solve and the
+    # Cholesky solve find the same minimizer, and both pass the KKT guard
+    m, d, seed = system
+    rng = np.random.default_rng(seed)
+    rows = _rows(_random_instance(rng, m, d))
+    L = _laplacian(_random_weights(rng, m).w)
+    fields = []
+    for unique in (True, False):
+        z = _project_rows(_solve_null_space(rows, L, unique), rows)
+        nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
+        assert _stationarity_defect(L, z, nu, rows) <= SUBPROBLEM_TOL
+        fields.append(z)
+    cholesky, least_squares = fields
+    assert np.linalg.norm(least_squares - cholesky) <= 1e-9 * np.linalg.norm(cholesky)
 
 
 @st.composite
@@ -490,12 +510,14 @@ def test_irls_matches_public_building_blocks_exactly(case, monkeypatch):
 
     import mixreg.solver as solver_mod
 
-    fallbacks = []
+    unique_flags = []  # one per null-space solve; a unique one is a fallback
     null_space = solver_mod._solve_null_space
-    monkeypatch.setattr(
-        solver_mod, "_solve_null_space",
-        lambda *args: fallbacks.append(1) or null_space(*args),
-    )
+
+    def counted(rows, L, unique):
+        unique_flags.append(unique)
+        return null_space(rows, L, unique)
+
+    monkeypatch.setattr(solver_mod, "_solve_null_space", counted)
     (Z, trace), warned = _nonunique_warnings(lambda: irls_solve(ds, opts))
     assert np.array_equal(Z.z, ref_z.z)
     assert np.array_equal(trace.objective_history, ref_hist)
@@ -503,7 +525,8 @@ def test_irls_matches_public_building_blocks_exactly(case, monkeypatch):
     assert trace.final_step_norm == ref_step
     assert trace.stop_reason == ref_reason
     assert trace.extrapolations == ref_extra
-    assert (len(fallbacks) > 0) == (case == "fused")
+    assert any(unique_flags) == (case == "fused")
+    assert (False in unique_flags) == (case == "span_deficient")  # min-norm solves
     # one warning per subproblem although the span is checked once per solve
     assert warned == ref_warned == (trace.iterations if case == "span_deficient" else 0)
 
