@@ -44,57 +44,97 @@ class RefitResult:
         object.__setattr__(self, "per_class_residual", residual)
 
 
-def _plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    m = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(m)]
+def _plusplus_seeds(points: np.ndarray, k: int, rngs, errors: list) -> np.ndarray:
+    """Plus-plus seeds of every restart as an ``(R, k, d)`` array.
+
+    Restart ``r`` draws from ``rngs[r]`` exactly as ``Generator.choice(m,
+    p=sq / total)`` would: the cumulative distribution, normalized by its
+    last entry, counts the entries at or below one uniform draw.  A restart
+    whose seeding total overflows or vanishes gets its message in
+    ``errors[r]`` and draws no further.
+    """
+    m, d = points.shape
+    centers = np.zeros((len(rngs), k, d))
+    centers[:, 0] = points[[rng.integers(m) for rng in rngs]]
+    live = np.arange(len(rngs))  # restarts still drawing
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
-        sq = np.sum((points - centers[0]) ** 2, axis=1)
+        sq = np.sum((points - centers[:, :1]) ** 2, axis=2)
         for c in range(1, k):
-            total = sq.sum()
-            if total == np.inf:
-                raise DataValidationError(_OVERFLOW)
-            if not total > 0:  # every point coincides with a chosen center
-                raise DataValidationError(
-                    f"cannot form {k} clusters: the points have fewer than "
-                    f"{k} distinct rows"
-                )
-            idx = rng.choice(m, p=sq / total)
-            centers[c] = points[idx]
-            sq = np.minimum(sq, np.sum((points - centers[c]) ** 2, axis=1))
+            total = sq.sum(axis=1)
+            overflow = total == np.inf
+            failed = overflow | ~(total > 0)  # 0: every point is a chosen center
+            if failed.any():
+                for r, over in zip(live[failed], overflow[failed]):
+                    errors[r] = _OVERFLOW if over else (
+                        f"cannot form {k} clusters: the points have fewer than "
+                        f"{k} distinct rows"
+                    )
+                live, sq, total = live[~failed], sq[~failed], total[~failed]
+            cdf = np.cumsum(sq / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            draws = np.array([rngs[r].random() for r in live])
+            chosen = points[np.count_nonzero(cdf <= draws[:, None], axis=1)]
+            centers[live, c] = chosen
+            sq = np.minimum(sq, np.sum((points - chosen[:, None]) ** 2, axis=2))
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray):
-    """Labels, each point's squared distance to its center, and their sum."""
+    """Each restart's labels, each point's squared distance to its center,
+    and their sum, for ``(R, k, d)`` centers."""
     with np.errstate(over="ignore"):  # kmeans refuses an inf inertia
-        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)  # argmin ties break toward the lowest index
-        dist = d2[np.arange(points.shape[0]), labels]
-        return labels, dist, float(dist.sum())
+        d2 = np.sum((points[:, None, :] - centers[:, None, :, :]) ** 2, axis=3)
+        restarts, m, k = d2.shape
+        labels = np.argmin(d2, axis=2)  # argmin ties break toward the lowest index
+        dist = d2.reshape(-1, k)[np.arange(restarts * m), labels.ravel()].reshape(restarts, m)
+        return labels, dist, dist.sum(axis=1)
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
-    centers = _plusplus_init(points, k, rng)
+def _lloyd(points: np.ndarray, centers: np.ndarray, errors: list):
+    """Lloyd's iterations of every restart at once from its ``(R, k, d)``
+    seeds; returns the centers, labels and inertia of each.
+
+    Restarts that failed seeding never run.  Each cluster mean is its
+    members' sum in row order over their count; a restart's empty cluster
+    takes the point farthest from its center, never the same point twice.
+    A restart leaves the active set when its labels stop changing, after
+    ``LLOYD_MAX_ITER`` iterations, or, with its message in ``errors``, when
+    a cluster mean overflows.
+    """
+    m, d = points.shape
+    k = centers.shape[1]
+    coords = np.tile(points.ravel(), len(errors))  # one copy per restart
+    active = np.flatnonzero([e is None for e in errors])
     labels, dist, inertia = _assign(points, centers)
+    labels_now, dist = labels[active], dist[active]
     for _ in range(LLOYD_MAX_ITER):
-        new_centers = centers.copy()
-        with np.errstate(over="ignore"):  # an overflowed mean is refused below
-            for c in range(k):
-                mask = labels == c
-                if np.any(mask):
-                    new_centers[c] = points[mask].mean(axis=0)
-                else:
-                    # repair: the point farthest from its center becomes this one
-                    far = int(np.argmax(dist))
-                    new_centers[c] = points[far]
-                    dist[far] = -1.0  # not reused by another empty cluster
-        if np.isinf(new_centers).any():  # a cluster's coordinate sum overflowed
-            raise DataValidationError("points are too large: a cluster mean overflows")
-        centers, old_labels = new_centers, labels
-        labels, dist, inertia = _assign(points, centers)
-        if np.array_equal(labels, old_labels):
+        if active.size == 0:
             break
+        cells = np.arange(active.size)[:, None] * k + labels_now  # (restart, cluster)
+        counts = np.bincount(cells.ravel(), minlength=active.size * k).reshape(-1, k)
+        with np.errstate(over="ignore"):  # an overflowed mean is refused below
+            sums = np.bincount(
+                (cells[:, :, None] * d + np.arange(d)).ravel(),
+                coords[: active.size * m * d],
+                minlength=active.size * k * d,
+            )
+        new_centers = sums.reshape(-1, k, d) / np.maximum(counts, 1)[:, :, None]
+        for a, c in np.argwhere(counts == 0):
+            # repair: the point farthest from its center becomes this one
+            far = int(np.argmax(dist[a]))
+            new_centers[a, c] = points[far]
+            dist[a, far] = -1.0  # not reused by another empty cluster
+        overflow = np.isinf(new_centers).any(axis=(1, 2))
+        for r in active[overflow]:  # a cluster's coordinate sum overflowed
+            errors[r] = "points are too large: a cluster mean overflows"
+        active, new_centers = active[~overflow], new_centers[~overflow]
+        old_labels = labels_now[~overflow]
+        labels_now, dist, inertia_now = _assign(points, new_centers)
+        centers[active] = new_centers
+        labels[active] = labels_now
+        inertia[active] = inertia_now
+        moving = np.any(labels_now != old_labels, axis=1)
+        active, labels_now, dist = active[moving], labels_now[moving], dist[moving]
     return centers, labels, inertia
 
 
@@ -103,10 +143,12 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
 
     Deterministic for a fixed seed: restart ``r`` draws from its own stream
     keyed by ``(seed, r)``, and the best run is chosen by lowest inertia with
-    ties broken toward the lowest restart index.  Points with fewer than
-    ``k`` distinct rows, or whose plus-plus seeding total, cluster mean
-    (both in any restart) or best inertia overflows, raise
-    :class:`DataValidationError`.
+    ties broken toward the lowest restart index.  All restarts run as one
+    array computation, with the results of running them one at a time.
+    Points with fewer than ``k`` distinct rows, or whose plus-plus seeding
+    total, cluster mean (both in any restart) or best inertia overflows,
+    raise :class:`DataValidationError`; with several, the message is the
+    lowest failing restart's.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -118,16 +160,22 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
         raise DataValidationError(f"k must be in [1, {m}], got {k}")
     if restarts < 1:
         raise DataValidationError("restarts must be at least 1")
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        centers, labels, inertia = _lloyd(points, k, rng)
-        if best is None or inertia < best[0]:
-            best = (inertia, centers, labels)
-    inertia, centers, labels = best
-    if inertia == np.inf:
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        for r in range(restarts)
+    ]
+    errors = [None] * restarts  # each restart's first failed check
+    centers = _plusplus_seeds(points, k, rngs, errors)
+    centers, labels, inertia = _lloyd(points, centers, errors)
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise DataValidationError(failed[0])
+    best = int(np.argmin(inertia))
+    if inertia[best] == np.inf:
         raise DataValidationError(_OVERFLOW)
-    return ClusteringResult(centers=centers, labels=labels, inertia=inertia)
+    return ClusteringResult(
+        centers=centers[best], labels=labels[best], inertia=float(inertia[best])
+    )
 
 
 def refit_regression(dataset: Dataset, labels) -> RefitResult:

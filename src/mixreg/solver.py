@@ -118,6 +118,7 @@ SPAN_RTOL = 1e-12
 DELTA = 1e-16
 # k-means restarts of a certified-exit attempt
 _EXIT_RESTARTS = 5
+_TOO_FAR = "estimates are too far apart: squared distances overflow"
 
 
 @dataclass(frozen=True)
@@ -424,17 +425,29 @@ def _stationarity_defect(L, z, nu, rows: _Rows) -> float:
 
     Backward-style check: the residual is compared per row against the
     magnitude of the terms that produced it, which is the sharpest scale at
-    which it can be evaluated in floating point.
+    which it can be evaluated in floating point.  Row norms that overflow
+    make it NaN, which the guards read as a failure.
     """
-    stat = 2.0 * (L @ z) + nu[:, None] * rows.features
-    znorm = np.linalg.norm(z, axis=1)
-    # |L| = 2 diag(L) - L: the diagonal is nonnegative, the rest nonpositive
-    abs_L_znorm = 2.0 * np.diagonal(L) * znorm - L @ znorm
-    row_scale = np.maximum(
-        2.0 * abs_L_znorm + np.abs(nu) * rows.norms,
-        1.0,
-    )
-    return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = 2.0 * (L @ z) + nu[:, None] * rows.features
+        znorm = np.linalg.norm(z, axis=1)
+        # |L| = 2 diag(L) - L: the diagonal is nonnegative, the rest nonpositive
+        abs_L_znorm = 2.0 * np.diagonal(L) * znorm - L @ znorm
+        row_scale = np.maximum(
+            2.0 * abs_L_znorm + np.abs(nu) * rows.norms,
+            1.0,
+        )
+        return float(np.max(np.linalg.norm(stat, axis=1) / row_scale))
+
+
+def _refuse_overflow(z: np.ndarray) -> None:
+    """Raise :class:`DataValidationError` when the squared distances or the
+    squared row norms of ``z`` overflow."""
+    with np.errstate(over="ignore"):
+        if np.isinf(_pairwise_sq_dists(z)).any():
+            raise DataValidationError(_TOO_FAR)
+        if np.isinf(np.einsum("ij,ij->i", z, z)).any():
+            raise DataValidationError("estimates are too large: squared row norms overflow")
 
 
 def weighted_ls_step(dataset: Dataset, weights: WeightMatrix) -> EstimateField:
@@ -464,7 +477,7 @@ def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
             pass
         else:
             z = _project_rows(z, rows)
-            if _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL:
+            if not _stationarity_defect(L, z, nu, rows) <= SUBPROBLEM_TOL:
                 z = None
     else:
         warnings.warn(
@@ -477,7 +490,10 @@ def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
     if z is None:
         z = _project_rows(_solve_null_space(rows, L, unique), rows)
         nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
-        if _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL:
+        defect = _stationarity_defect(L, z, nu, rows)
+        if not np.isfinite(defect):
+            _refuse_overflow(z)
+        if not defect <= SUBPROBLEM_TOL:
             raise NumericalError("KKT stationarity residual above tolerance")
 
     gap = _feasibility_gap(rows, z)
@@ -573,8 +589,8 @@ def irls_solve(
     :class:`WeightMatrix` validation.
 
     Non-convergence is reported through ``trace.converged``, not raised.
-    A solve whose squared distances overflow (estimates near +-1e200) raises
-    :class:`DataValidationError`.
+    A solve whose squared distances or squared row norms overflow
+    (estimates near +-1e200) raises :class:`DataValidationError`.
     """
     if k is not None and not 1 <= k <= dataset.m:
         raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
@@ -593,9 +609,7 @@ def irls_solve(
         Z = EstimateField(z)
         w, objective = _reweight(Z.z, DELTA)  # next weights, this objective
         if objective == np.inf:
-            raise DataValidationError(
-                "estimates are too far apart: squared distances overflow"
-            )
+            raise DataValidationError(_TOO_FAR)
         history.append(objective)
         max_feas = max(max_feas, gap)
         if base is not None:

@@ -21,6 +21,7 @@ across platforms and classes can be generated independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,11 +97,11 @@ def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray
     if dim == 0:
         return np.zeros(0)
     g = rng.standard_normal(dim)
-    norm = np.linalg.norm(g)
+    norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
     while norm == 0.0:  # probability zero, but keep the sample well defined
         g = rng.standard_normal(dim)
-        norm = np.linalg.norm(g)
-    r = radius * rng.uniform() ** (1.0 / dim)
+        norm = math.sqrt(g.dot(g))
+    r = radius * rng.random() ** (1.0 / dim)  # rng.uniform() is 0 + 1 * random()
     return (r / norm) * g
 
 
@@ -111,10 +112,10 @@ def sample_sphere(dim: int, radius: float, rng: np.random.Generator) -> np.ndarr
     if radius < 0:
         raise DataValidationError("radius must be nonnegative")
     g = rng.standard_normal(dim)
-    norm = np.linalg.norm(g)
+    norm = math.sqrt(g.dot(g))
     while norm == 0.0:
         g = rng.standard_normal(dim)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g.dot(g))
     return (radius / norm) * g
 
 

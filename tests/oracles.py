@@ -190,3 +190,78 @@ def grid_search_oracle(features, responses, npoints=200):
             return best, base + ts[:, None] * dirs
         half *= 2.0
     raise AssertionError("grid oracle failed to bracket the minimizer")
+
+
+def kmeans_reference(points, k: int, restarts: int = 20, seed: int = 0, seeds=None):
+    """Lloyd's algorithm with plus-plus seeding, one restart at a time.
+
+    Restart ``r`` seeds from ``SeedSequence(entropy=seed, spawn_key=(r,))``
+    with ``Generator.choice`` draws, or at the rows ``seeds[r]`` when
+    ``seeds`` is given, and runs its own Lloyd loop of masked cluster means,
+    an empty cluster taking the point farthest from its center; the lowest
+    inertia wins, ties toward the lowest restart.  Returns ``(centers,
+    labels, inertia)``.  Points are assumed valid: no overflow and at least
+    ``k`` distinct rows.
+    """
+    points = np.asarray(points, dtype=float)
+    m = points.shape[0]
+
+    def assign(centers):
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        dist = d2[np.arange(m), labels]
+        return labels, dist, float(dist.sum())
+
+    best = None
+    for r in range(restarts):
+        if seeds is None:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+            centers = np.empty((k, points.shape[1]))
+            centers[0] = points[rng.integers(m)]
+            sq = np.sum((points - centers[0]) ** 2, axis=1)
+            for c in range(1, k):
+                centers[c] = points[rng.choice(m, p=sq / sq.sum())]
+                sq = np.minimum(sq, np.sum((points - centers[c]) ** 2, axis=1))
+        else:
+            centers = points[seeds[r]]
+        labels, dist, inertia = assign(centers)
+        for _ in range(300):
+            new_centers = centers.copy()
+            for c in range(k):
+                mask = labels == c
+                if np.any(mask):
+                    new_centers[c] = points[mask].mean(axis=0)
+                else:
+                    far = int(np.argmax(dist))
+                    new_centers[c] = points[far]
+                    dist[far] = -1.0
+            centers, old_labels = new_centers, labels
+            labels, dist, inertia = assign(centers)
+            if np.array_equal(labels, old_labels):
+                break
+        if best is None or inertia < best[2]:
+            best = (centers, labels, inertia)
+    return best
+
+
+def sample_ball_reference(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform ball sample through ``np.linalg.norm`` and ``rng.uniform``."""
+    if dim == 0:
+        return np.zeros(0)
+    g = rng.standard_normal(dim)
+    norm = np.linalg.norm(g)
+    while norm == 0.0:
+        g = rng.standard_normal(dim)
+        norm = np.linalg.norm(g)
+    r = radius * rng.uniform() ** (1.0 / dim)
+    return (r / norm) * g
+
+
+def sample_sphere_reference(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sphere sample through ``np.linalg.norm``."""
+    g = rng.standard_normal(dim)
+    norm = np.linalg.norm(g)
+    while norm == 0.0:
+        g = rng.standard_normal(dim)
+        norm = np.linalg.norm(g)
+    return (radius / norm) * g

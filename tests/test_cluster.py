@@ -1,7 +1,10 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixreg.cluster as cluster_mod
 from mixreg.cluster import kmeans, match_labels, refit_regression
@@ -9,6 +12,7 @@ from mixreg.errors import DataValidationError, UnderdeterminedFitWarning
 from mixreg.model import Dataset, candidate_solution, recovery_error
 from mixreg.solver import irls_solve
 from mixreg.synth import Sim1Config, gen_sim1
+from oracles import kmeans_reference
 
 
 def test_kmeans_identical_points():
@@ -64,12 +68,84 @@ def test_lloyd_repairs_empty_clusters(monkeypatch):
     # given the point farthest from its center, never the same point twice
     pts = np.array([[0.0, 0.0], [0.0, 0.1], [10.0, 0.0], [10.0, 0.2]])
     monkeypatch.setattr(
-        cluster_mod, "_plusplus_init", lambda points, k, rng: np.tile(points[0], (k, 1))
+        cluster_mod,
+        "_plusplus_seeds",
+        lambda points, k, rngs, errors: np.tile(points[0], (len(rngs), k, 1)),
     )
     result = kmeans(pts, 3, restarts=1)
     assert result.labels[0] == result.labels[1]
     assert len(set(result.labels.tolist())) == 3
     assert result.inertia == pytest.approx(2 * 0.05**2, rel=1e-12)
+
+
+@st.composite
+def _point_sets(draw):
+    """Points with at least k distinct rows, often with duplicates and on a
+    coarse grid (exact sums, tied distances), and per-restart seed rows that
+    may coincide, which leaves clusters empty and forces the repair."""
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(m, 6)))
+    distinct = draw(st.integers(k, m))
+    restarts = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((distinct, d)) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        base = np.round(2.0 * base) / 2.0
+    if len(np.unique(base, axis=0)) < k:
+        base[:k] = np.arange(k)[:, None]
+    rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=m - distinct)])
+    points = base[rng.permutation(rows)]
+    seeds = rng.integers(m, size=(restarts, k)) if draw(st.booleans()) else None
+    return points, k, restarts, draw(st.integers(0, 2**32 - 1)), seeds
+
+
+@settings(max_examples=150, deadline=None)
+@given(_point_sets())
+def test_kmeans_matches_per_restart_reference(case):
+    points, k, restarts, seed, seeds = case
+    if seeds is None:
+        result = kmeans(points, k, restarts=restarts, seed=seed)
+    else:
+        forced = lambda points, k, rngs, errors: points[seeds]  # noqa: E731
+        with mock.patch.object(cluster_mod, "_plusplus_seeds", forced):
+            result = kmeans(points, k, restarts=restarts, seed=seed)
+    centers, labels, inertia = kmeans_reference(points, k, restarts, seed, seeds)
+    assert np.array_equal(result.labels, labels)
+    if points.shape[1] >= 2:
+        # a cluster mean sums its members in row order, as the reference's
+        # axis-0 mean does when the rows have two or more entries
+        assert np.array_equal(result.centers, centers)
+        assert result.inertia == inertia
+    else:
+        # with one column numpy's axis-0 mean sums pairwise, so the centers,
+        # and the inertia measured from them, may differ by rounding
+        scale = float(np.max(np.abs(points)))
+        np.testing.assert_allclose(result.centers, centers, rtol=0, atol=1e-13 * scale)
+        assert result.inertia == pytest.approx(inertia, abs=1e-12 * len(points) * scale**2)
+
+
+def test_plusplus_draws_as_generator_choice():
+    # every plus-plus index is the one Generator.choice(m, p=sq / total)
+    # returns, and each stream is left where choice leaves it
+    gen = np.random.default_rng(5)
+    for trial in range(300):
+        m = int(gen.integers(2, 60))
+        d = int(gen.integers(1, 5))
+        k = int(gen.integers(2, min(m, 5) + 1))
+        restarts = int(gen.integers(1, 5))
+        points = gen.standard_normal((m, d)) * 10.0 ** gen.integers(-5, 5, size=(m, 1))
+        rngs = [np.random.default_rng([trial, r]) for r in range(restarts)]
+        centers = cluster_mod._plusplus_seeds(points, k, rngs, [None] * restarts)
+        for r, rng in enumerate(rngs):
+            twin = np.random.default_rng([trial, r])
+            rows = [twin.integers(m)]
+            sq = np.sum((points - points[rows[0]]) ** 2, axis=1)
+            for _ in range(1, k):
+                rows.append(twin.choice(m, p=sq / sq.sum()))
+                sq = np.minimum(sq, np.sum((points - points[rows[-1]]) ** 2, axis=1))
+            assert np.array_equal(centers[r], points[rows])
+            assert rng.random() == twin.random()
 
 
 def test_kmeans_validation():

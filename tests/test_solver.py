@@ -233,6 +233,27 @@ def test_weighted_ls_step_fused_points_fallback():
     _assert_matches_eqp(ds, w)
 
 
+def test_stationarity_guard_fails_closed_on_nan(monkeypatch):
+    # three d = 1 rows pinned at 1e200: the squared row norms overflow, so
+    # the defect is NaN (inf - inf), though no squared distance overflows
+    ds = Dataset(np.ones((3, 1)), np.full(3, 1e200))
+    rows = _rows(ds)
+    L = _laplacian(WeightMatrix.uniform(3).w)
+    z = np.full((3, 1), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_stationarity_defect(L, z, np.zeros(3), rows))
+        with pytest.raises(DataValidationError, match="squared row norms overflow"):
+            weighted_ls_step(ds, WeightMatrix.uniform(3))
+    # a NaN defect on finite estimates fails the guard: no route is accepted
+    import mixreg.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_stationarity_defect", lambda *args: float("nan"))
+    ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(NumericalError, match="stationarity"):
+        weighted_ls_step(ds, WeightMatrix.uniform(3))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_bordered_systems())
 def test_null_space_least_squares_matches_cholesky_on_unique_subproblems(system):

@@ -13,6 +13,7 @@ from mixreg.synth import (
     sample_ball,
     sample_sphere,
 )
+from oracles import sample_ball_reference, sample_sphere_reference
 
 
 def test_sample_ball_basics():
@@ -49,6 +50,24 @@ def test_sample_sphere_angle_uniformity():
     hist, _ = np.histogram(angles, bins=16, range=(-np.pi, np.pi))
     _, p = stats.chisquare(hist)
     assert p > 0.001
+
+
+def test_samplers_match_the_norm_based_reference():
+    # the same draws and the same bits as np.linalg.norm and rng.uniform,
+    # checked against the reference on this machine rather than stored
+    # digests, since dot-product kernels may round differently elsewhere
+    for seed in range(200):
+        for dim in range(1, 13):
+            radius = 0.05 * (1 + seed % 7)
+            ours, ref = np.random.default_rng([seed, dim]), np.random.default_rng([seed, dim])
+            for _ in range(3):
+                assert np.array_equal(
+                    sample_ball(dim, radius, ours), sample_ball_reference(dim, radius, ref)
+                )
+                assert np.array_equal(
+                    sample_sphere(dim, radius, ours), sample_sphere_reference(dim, radius, ref)
+                )
+            assert ours.random() == ref.random()
 
 
 def test_gen_sim1_zero_aperture():
