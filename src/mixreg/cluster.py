@@ -44,37 +44,36 @@ class RefitResult:
         object.__setattr__(self, "per_class_residual", residual)
 
 
-def _plusplus_seeds(points: np.ndarray, k: int, rngs, errors: list) -> np.ndarray:
+def _plusplus_seeds(points: np.ndarray, k: int, rngs) -> np.ndarray:
     """Plus-plus seeds of every restart as an ``(R, k, d)`` array.
 
     Restart ``r`` draws from ``rngs[r]`` exactly as ``Generator.choice(m,
     p=sq / total)`` would: the cumulative distribution, normalized by its
-    last entry, counts the entries at or below one uniform draw.  A restart
-    whose seeding total overflows or vanishes gets its message in
-    ``errors[r]`` and draws no further.
+    last entry, counts the entries at or below one uniform draw.  A seeding
+    total that overflows in any restart raises, and so does one that
+    vanishes, which happens only once every point is at squared distance 0
+    from a center: the search never picks a zero-weight row, so the
+    restarts run out of distinct rows together.
     """
     m, d = points.shape
     centers = np.zeros((len(rngs), k, d))
     centers[:, 0] = points[[rng.integers(m) for rng in rngs]]
-    live = np.arange(len(rngs))  # restarts still drawing
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
         sq = np.sum((points - centers[:, :1]) ** 2, axis=2)
         for c in range(1, k):
             total = sq.sum(axis=1)
-            overflow = total == np.inf
-            failed = overflow | ~(total > 0)  # 0: every point is a chosen center
-            if failed.any():
-                for r, over in zip(live[failed], overflow[failed]):
-                    errors[r] = _OVERFLOW if over else (
-                        f"cannot form {k} clusters: the points have fewer than "
-                        f"{k} distinct rows"
-                    )
-                live, sq, total = live[~failed], sq[~failed], total[~failed]
+            if np.any(total == np.inf):
+                raise DataValidationError(_OVERFLOW)
+            if not np.all(total > 0):  # every point is a chosen center
+                raise DataValidationError(
+                    f"cannot form {k} clusters: the points have fewer than "
+                    f"{k} distinct rows"
+                )
             cdf = np.cumsum(sq / total[:, None], axis=1)
             cdf /= cdf[:, -1:]
-            draws = np.array([rngs[r].random() for r in live])
+            draws = np.array([rng.random() for rng in rngs])
             chosen = points[np.count_nonzero(cdf <= draws[:, None], axis=1)]
-            centers[live, c] = chosen
+            centers[:, c] = chosen
             sq = np.minimum(sq, np.sum((points - chosen[:, None]) ** 2, axis=2))
     return centers
 
@@ -90,23 +89,22 @@ def _assign(points: np.ndarray, centers: np.ndarray):
         return labels, dist, dist.sum(axis=1)
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, errors: list):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     """Lloyd's iterations of every restart at once from its ``(R, k, d)``
     seeds; returns the centers, labels and inertia of each.
 
-    Restarts that failed seeding never run.  Each cluster mean is its
-    members' sum in row order over their count; a restart's empty cluster
-    takes the point farthest from its center, never the same point twice.
-    A restart leaves the active set when its labels stop changing, after
-    ``LLOYD_MAX_ITER`` iterations, or, with its message in ``errors``, when
-    a cluster mean overflows.
+    Each cluster mean is its members' sum in row order over their count; a
+    restart's empty cluster takes the point farthest from its center, never
+    the same point twice.  A restart leaves the active set when its labels
+    stop changing or after ``LLOYD_MAX_ITER`` iterations; a cluster mean
+    that overflows in any restart raises.
     """
     m, d = points.shape
-    k = centers.shape[1]
-    coords = np.tile(points.ravel(), len(errors))  # one copy per restart
-    active = np.flatnonzero([e is None for e in errors])
+    restarts, k = centers.shape[:2]
+    coords = np.tile(points.ravel(), restarts)  # one copy per restart
+    active = np.arange(restarts)
     labels, dist, inertia = _assign(points, centers)
-    labels_now, dist = labels[active], dist[active]
+    labels_now = labels.copy()
     for _ in range(LLOYD_MAX_ITER):
         if active.size == 0:
             break
@@ -119,16 +117,14 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, errors: list):
                 minlength=active.size * k * d,
             )
         new_centers = sums.reshape(-1, k, d) / np.maximum(counts, 1)[:, :, None]
+        if np.isinf(new_centers).any():  # a cluster's coordinate sum overflowed
+            raise DataValidationError("points are too large: a cluster mean overflows")
         for a, c in np.argwhere(counts == 0):
             # repair: the point farthest from its center becomes this one
             far = int(np.argmax(dist[a]))
             new_centers[a, c] = points[far]
             dist[a, far] = -1.0  # not reused by another empty cluster
-        overflow = np.isinf(new_centers).any(axis=(1, 2))
-        for r in active[overflow]:  # a cluster's coordinate sum overflowed
-            errors[r] = "points are too large: a cluster mean overflows"
-        active, new_centers = active[~overflow], new_centers[~overflow]
-        old_labels = labels_now[~overflow]
+        old_labels = labels_now
         labels_now, dist, inertia_now = _assign(points, new_centers)
         centers[active] = new_centers
         labels[active] = labels_now
@@ -147,8 +143,7 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
     array computation, with the results of running them one at a time.
     Points with fewer than ``k`` distinct rows, or whose plus-plus seeding
     total, cluster mean (both in any restart) or best inertia overflows,
-    raise :class:`DataValidationError`; with several, the message is the
-    lowest failing restart's.
+    raise :class:`DataValidationError` at the first check that fails.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -164,12 +159,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         for r in range(restarts)
     ]
-    errors = [None] * restarts  # each restart's first failed check
-    centers = _plusplus_seeds(points, k, rngs, errors)
-    centers, labels, inertia = _lloyd(points, centers, errors)
-    failed = [e for e in errors if e is not None]
-    if failed:
-        raise DataValidationError(failed[0])
+    centers = _plusplus_seeds(points, k, rngs)
+    centers, labels, inertia = _lloyd(points, centers)
     best = int(np.argmin(inertia))
     if inertia[best] == np.inf:
         raise DataValidationError(_OVERFLOW)

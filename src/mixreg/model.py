@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class MixtureModel:
     """``k`` pairwise-distinct coefficient vectors and their class sizes."""
 
     betas: np.ndarray
-    sizes: np.ndarray = field(default=None)  # type: ignore[assignment]
+    sizes: np.ndarray
 
     def __post_init__(self):
         betas = _frozen_array(self.betas)
@@ -119,8 +119,6 @@ class MixtureModel:
                         f"mixture components {p} and {q} are identical"
                     )
         object.__setattr__(self, "betas", betas)
-        if self.sizes is None:
-            raise DataValidationError("class sizes are required")
         sizes = _frozen_array(self.sizes, dtype=np.int64)
         if sizes.shape != (k,) or sizes.min() < 1:
             raise DataValidationError("sizes must be k positive integers")

@@ -63,6 +63,29 @@ def test_kmeans_rejects_fewer_distinct_rows_than_k():
         kmeans(pts, 3, restarts=3)
 
 
+@st.composite
+def _too_few_distinct(draw):
+    """Points with fewer than k distinct rows, each drawn at least once."""
+    k = draw(st.integers(2, 6))
+    distinct = draw(st.integers(1, k - 1))
+    m = draw(st.integers(k, 30))
+    d = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((distinct, d)) * 10.0 ** draw(st.integers(-3, 3))
+    rows = np.concatenate([np.arange(distinct), rng.integers(distinct, size=m - distinct)])
+    return base[rng.permutation(rows)], k
+
+
+@settings(max_examples=100, deadline=None)
+@given(_too_few_distinct(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_kmeans_refuses_too_few_distinct_rows_in_every_restart(case, restarts, seed):
+    # plus-plus seeding never picks a zero-weight row, so the restarts run
+    # out of distinct rows together, whatever their streams draw
+    points, k = case
+    with pytest.raises(DataValidationError, match=f"fewer than {k} distinct rows"):
+        kmeans(points, k, restarts=restarts, seed=seed)
+
+
 def test_lloyd_repairs_empty_clusters(monkeypatch):
     # seeding at one point three times leaves two clusters empty; each is
     # given the point farthest from its center, never the same point twice
@@ -70,7 +93,7 @@ def test_lloyd_repairs_empty_clusters(monkeypatch):
     monkeypatch.setattr(
         cluster_mod,
         "_plusplus_seeds",
-        lambda points, k, rngs, errors: np.tile(points[0], (len(rngs), k, 1)),
+        lambda points, k, rngs: np.tile(points[0], (len(rngs), k, 1)),
     )
     result = kmeans(pts, 3, restarts=1)
     assert result.labels[0] == result.labels[1]
@@ -107,7 +130,7 @@ def test_kmeans_matches_per_restart_reference(case):
     if seeds is None:
         result = kmeans(points, k, restarts=restarts, seed=seed)
     else:
-        forced = lambda points, k, rngs, errors: points[seeds]  # noqa: E731
+        forced = lambda points, k, rngs: points[seeds]  # noqa: E731
         with mock.patch.object(cluster_mod, "_plusplus_seeds", forced):
             result = kmeans(points, k, restarts=restarts, seed=seed)
     centers, labels, inertia = kmeans_reference(points, k, restarts, seed, seeds)
@@ -136,7 +159,7 @@ def test_plusplus_draws_as_generator_choice():
         restarts = int(gen.integers(1, 5))
         points = gen.standard_normal((m, d)) * 10.0 ** gen.integers(-5, 5, size=(m, 1))
         rngs = [np.random.default_rng([trial, r]) for r in range(restarts)]
-        centers = cluster_mod._plusplus_seeds(points, k, rngs, [None] * restarts)
+        centers = cluster_mod._plusplus_seeds(points, k, rngs)
         for r, rng in enumerate(rngs):
             twin = np.random.default_rng([trial, r])
             rows = [twin.integers(m)]
@@ -187,6 +210,17 @@ def test_kmeans_rejects_only_sums_that_overflow():
         assert np.bincount(result.labels).tolist() == [30, 30]
         np.testing.assert_allclose(np.sort(result.centers[:, 0]), [-1e153, 1e153], rtol=1e-14)
         assert result.inertia < 1e-20 * 4e306
+        # a restart seeded at a zero row has seeding total 1.44e308, one
+        # seeded at the far row 3 * 1.44e308 = inf; restart 0 of seed 1 seeds
+        # at a zero row and clusters
+        partial = np.array([[0.0], [0.0], [0.0], [1.2e154]])
+        result = kmeans(partial, 2, restarts=1, seed=1)
+        assert result.labels.tolist() == [0, 0, 0, 1]
+        assert result.centers[:, 0].tolist() == [0.0, 1.2e154]
+        assert result.inertia == 0.0
+        # restarts 1 and 4 of seed 1 seed at the far row: only they overflow
+        with pytest.raises(DataValidationError, match=overflow):
+            kmeans(partial, 2, restarts=5, seed=1)
         # every squared distance is 0 or 1, but two coordinates of 1.5e308
         # sum to inf: the cluster mean would be an inf center
         near_limit = np.array([[1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 1.0], [1.5e308, 1.0]])
