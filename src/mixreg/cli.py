@@ -13,12 +13,19 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .certificate import build_certificate, verify_certificate
-from .dataio import load_betas, load_csv, save_betas, save_csv, write_json
+from .dataio import (
+    _write_table,
+    load_betas,
+    load_csv,
+    preprocess_center_scale,
+    save_betas,
+    save_csv,
+    write_json,
+)
 from .errors import (
     CertificateUndefinedError,
     DataValidationError,
@@ -64,22 +71,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter,
                    help="iteration cap")
     p.add_argument("--stop-tol", type=float, default=SolverOptions.stop_tol,
-                   help="normalized step-norm stopping tolerance")
+                   help="relative step tolerance: stop at ||Z_t - X_t||_F <= tol ||X_t||_F")
 
 
 def _solver_options(args) -> SolverOptions:
     return SolverOptions(max_iter=args.max_iter, stop_tol=args.stop_tol)
-
-
-def _write_estimates_csv(path, z: np.ndarray, labels=None) -> None:
-    header = ",".join(f"z_{i + 1}" for i in range(z.shape[1]))
-    lines = [header + (",label" if labels is not None else "")]
-    for i in range(z.shape[0]):
-        row = ",".join(repr(float(v)) for v in z[i])
-        if labels is not None:
-            row += f",{int(labels[i]) + 1}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_FIT["seed"].default)
     p.add_argument("--center-column", type=int,
                    help="1-based feature column to center and rescale")
-    p.add_argument("--center-alpha", type=float,
-                   default=_FIT["center_alpha"].default,
+    p.add_argument("--center-alpha", type=float, default=1.0,
                    help="scale applied after centering")
     _add_solver_flags(p)
 
@@ -169,7 +164,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     dataset = load_csv(args.data)
     estimates, trace = irls_solve(dataset, _solver_options(args))
-    _write_estimates_csv(args.output, estimates.z)
+    _write_table(args.output, [f"z_{i + 1}" for i in range(dataset.d)], estimates.z)
     if args.trace_out:
         write_json(trace.to_dict(), args.trace_out)
     print(
@@ -217,23 +212,22 @@ def _cmd_certify(args) -> int:
 
 def _cmd_fit(args) -> int:
     dataset = load_csv(args.data)
-    center = None if args.center_column is None else args.center_column - 1
+    column = args.center_column
+    if column is not None:
+        if not 1 <= column <= dataset.d:
+            raise DataValidationError(
+                f"--center-column {column} is not a feature column (1..{dataset.d})"
+            )
+        dataset = preprocess_center_scale(dataset, args.center_alpha, column - 1)
     report, estimates = fit_pipeline(
-        dataset,
-        args.k,
-        opts=_solver_options(args),
-        restarts=args.restarts,
-        seed=args.seed,
-        center_column=center,
-        center_alpha=args.center_alpha,
+        dataset, args.k, _solver_options(args), restarts=args.restarts, seed=args.seed
     )
     write_json(report.to_dict(), args.output)
     if args.labels_out:
-        Path(args.labels_out).write_text(
-            "label\n" + "\n".join(str(int(v) + 1) for v in report.labels) + "\n"
-        )
+        _write_table(args.labels_out, [], np.empty((dataset.m, 0)), report.labels)
     if args.estimates_out:
-        _write_estimates_csv(args.estimates_out, estimates.z, report.labels)
+        names = [f"z_{i + 1}" for i in range(dataset.d)]
+        _write_table(args.estimates_out, names, estimates.z, report.labels)
     print(
         f"fit k={args.k}: iterations={report.trace.iterations} "
         f"stop_reason={report.trace.stop_reason} "

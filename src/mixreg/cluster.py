@@ -67,7 +67,8 @@ def _plusplus_seeds(points: np.ndarray, k: int, rngs) -> np.ndarray:
             if not np.all(total > 0):  # every point is a chosen center
                 raise DataValidationError(
                     f"cannot form {k} clusters: the points have fewer than "
-                    f"{k} distinct rows"
+                    f"{k} distinct rows (rows whose squared distance underflows "
+                    "to 0 count as one)"
                 )
             cdf = np.cumsum(sq / total[:, None], axis=1)
             cdf /= cdf[:, -1:]

@@ -3,7 +3,7 @@
 The data format is a UTF-8 CSV with header ``a_1,...,a_d,b`` plus an
 optional trailing ``label`` column.  Labels are 1-based on disk and 0-based
 in memory.  Floats are written with ``repr`` so a write/load round trip is
-bit-identical.
+bit-identical.  Written lines end in LF; CRLF files load the same.
 """
 
 from __future__ import annotations
@@ -97,20 +97,20 @@ def load_csv(path) -> Dataset:
     )
 
 
+def _write_table(path, names, values, labels=None) -> None:
+    """Write ``values`` (m x len(names)) under ``names``, then the optional
+    ``label`` column, 1-based, one LF-terminated line per row."""
+    rows = [[repr(v) for v in row] for row in np.asarray(values, dtype=float).tolist()]
+    if labels is not None:
+        names = [*names, "label"]
+        rows = [[*row, str(int(lab) + 1)] for row, lab in zip(rows, labels)]
+    Path(path).write_text("".join(",".join(row) + "\n" for row in [names, *rows]))
+
+
 def save_csv(dataset: Dataset, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"a_{i + 1}" for i in range(dataset.d)] + ["b"]
-        if dataset.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(dataset.m):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(repr(float(dataset.responses[i])))
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i]) + 1))
-            writer.writerow(row)
+    names = [f"a_{i + 1}" for i in range(dataset.d)] + ["b"]
+    values = np.column_stack([dataset.features, dataset.responses])
+    _write_table(path, names, values, dataset.labels)
 
 
 def save_betas(model: MixtureModel, path) -> None:

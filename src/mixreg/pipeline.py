@@ -1,5 +1,5 @@
-"""End-to-end fitting: optional preprocessing, fusion solve, clustering of
-the per-point estimates, and per-class regression refits."""
+"""End-to-end fitting: fusion solve, clustering of the per-point estimates,
+and per-class regression refits."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import RefitResult, kmeans, refit_regression
-from .dataio import preprocess_center_scale
 from .errors import DataValidationError
 from .model import Dataset, EstimateField
 from .solver import SolveTrace, SolverOptions, irls_solve
@@ -48,8 +47,6 @@ def fit_pipeline(
     opts: SolverOptions = SolverOptions(),
     restarts: int = 20,
     seed: int = 0,
-    center_column: int | None = None,
-    center_alpha: float = 1.0,
 ) -> tuple[FitReport, EstimateField]:
     """Solve, cluster into ``k`` groups, and refit one model per group.
 
@@ -57,14 +54,9 @@ def fit_pipeline(
     (see :func:`mixreg.solver.irls_solve`); the labels then come from the
     distinct rows of the certified field, one per class, with inertia 0,
     instead of from k-means.
-
-    ``center_column`` (0-based), when given, recenters and rescales that
-    feature column before solving.
     """
     if restarts < 1:  # checked up front: a certified solve skips k-means
         raise DataValidationError("restarts must be at least 1")
-    if center_column is not None:
-        dataset = preprocess_center_scale(dataset, center_alpha, center_column)
     estimates, trace = irls_solve(dataset, opts, k=k)
     if trace.stop_reason == "certified":
         # one distinct row per class; numpy 2.0.0 returned the inverse as 2-D

@@ -123,7 +123,7 @@ _TOO_FAR = "estimates are too far apart: squared distances overflow"
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration cap and step-norm stopping tolerance."""
+    """Iteration cap and relative step stopping tolerance."""
 
     max_iter: int = 150
     stop_tol: float = 1e-5
@@ -142,9 +142,10 @@ class SolveTrace:
     ``objective_history`` holds one entry per subproblem solve, and
     ``iterations``, the number of solves, is derived from it.
     ``stop_reason`` is ``"certified"`` (the returned field carries a dual
-    certificate), ``"step"`` (the step norm fell below ``stop_tol``) or
+    certificate), ``"step"`` (``||Z_t - X_t||_F <= stop_tol ||X_t||_F``) or
     ``"cap"`` (``max_iter`` subproblems were solved); the solve converged
-    unless it hit the cap.  ``extrapolations`` counts the
+    unless it hit the cap.  ``final_step_norm`` is the last step's
+    ``||Z_t - X_t||_F / sqrt(m)``.  ``extrapolations`` counts the
     accepted SQUAREM extrapolations.
     """
 
@@ -221,11 +222,12 @@ def _reweight(z: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
     ``1 / r_ij`` and the objective is ``sum_{i != j} r_ij``; self-pairs get
     weight 0 and are excluded from the sum.
     """
-    r = _pairwise_sq_dists(z)
-    r += delta
-    np.sqrt(r, out=r)
-    np.fill_diagonal(r, 0.0)
-    objective = float(r.sum())
+    with np.errstate(over="ignore"):  # the loop refuses an inf objective
+        r = _pairwise_sq_dists(z)
+        r += delta
+        np.sqrt(r, out=r)
+        np.fill_diagonal(r, 0.0)
+        objective = float(r.sum())
     np.fill_diagonal(r, 1.0)  # no 1/0 on the diagonal
     np.reciprocal(r, out=r)
     np.fill_diagonal(r, 0.0)
@@ -558,9 +560,9 @@ def _squarem_point(x: np.ndarray, f1: np.ndarray, f2: np.ndarray, rows: _Rows):
 def irls_solve(
     dataset: Dataset, opts: SolverOptions = SolverOptions(), *, k: int | None = None
 ) -> tuple[EstimateField, SolveTrace]:
-    """Run monotone SQUAREM-accelerated IRLS until the normalized step norm
-    drops below ``opts.stop_tol`` or ``opts.max_iter`` subproblems have been
-    solved.
+    """Run monotone SQUAREM-accelerated IRLS until a solve's step is small
+    relative to the field it started from, ``||Z_t - X_t||_F <= opts.stop_tol
+    ||X_t||_F``, or ``opts.max_iter`` subproblems have been solved.
 
     The IRLS map S reweights from a field and solves the weighted
     subproblem.  The first solve uses uniform weights and its result is the
@@ -622,7 +624,10 @@ def irls_solve(
                 max_feas = max(max_feas, certified_gap)
                 stop_reason = "certified"
                 break
-        if step is not None and step < opts.stop_tol:
+        # relative to the field, so the stop does not depend on the units of b
+        if base is not None and (
+            np.linalg.norm(Z.z - base) <= opts.stop_tol * np.linalg.norm(base)
+        ):
             stop_reason = "step"
             break
         base = Z.z

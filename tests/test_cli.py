@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mixreg.cli import _solver_options, _UsageError, build_parser, main
-from mixreg.dataio import load_csv
+from mixreg.dataio import load_csv, preprocess_center_scale
 from mixreg.phase import PhaseConfig, run_phase
 from mixreg.pipeline import fit_pipeline
 from mixreg.solver import SolverOptions
@@ -174,10 +174,39 @@ def test_fit_with_preprocessing(tmp_path, tone_like_path):
         "--center-column", "1", "--center-alpha", "40",
         "--estimates-out", str(tmp_path / "est.csv"),
     ]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["k"] == 2
+    # --center-column is 1-based: the report is the fit of the centered data
+    manual = preprocess_center_scale(load_csv(tone_like_path), 40.0, 0)
+    report, _ = fit_pipeline(manual, 2)
+    assert out.read_text() == json.dumps(report.to_dict(), indent=2) + "\n"
     est_header = (tmp_path / "est.csv").read_text().splitlines()[0]
     assert est_header == "z_1,z_2,label"
+
+
+@pytest.mark.parametrize("column", ["0", "3"])
+def test_fit_rejects_a_center_column_outside_the_features(
+    tmp_path, capsys, two_lines_path, column
+):
+    # two_lines has d = 2: the valid 1-based columns are 1 and 2
+    out = tmp_path / "fit.json"
+    argv = ["fit", str(two_lines_path), "--k", "2", "-o", str(out)]
+    assert main([*argv, "--center-column", column]) == 2
+    assert f"--center-column {column} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_and_solve_files_of_a_three_row_input(tmp_path):
+    # d = 1 pins each estimate to b_i / a_i exactly: 1, 1 and 3
+    data = tmp_path / "three.csv"
+    data.write_text("a_1,b\n1,1\n2,2\n0.5,1.5\n")
+    labels, est, z = tmp_path / "l.csv", tmp_path / "e.csv", tmp_path / "z.csv"
+    assert main([
+        "fit", str(data), "--k", "2", "-o", str(tmp_path / "f.json"),
+        "--labels-out", str(labels), "--estimates-out", str(est),
+    ]) == 0
+    assert main(["solve", str(data), "-o", str(z)]) == 0
+    assert labels.read_bytes() == b"label\n1\n1\n2\n"
+    assert est.read_bytes() == b"z_1,label\n1.0,1\n1.0,1\n3.0,2\n"
+    assert z.read_bytes() == b"z_1\n1.0\n1.0\n3.0\n"
 
 
 def test_summary_lines_report_stop_reason(tmp_path, capsys, two_lines_path):
@@ -267,8 +296,9 @@ def test_parser_defaults_are_the_library_defaults():
     fit = parser.parse_args(["fit", "x.csv", "--k", "2", "-o", "f.json"])
     assert _solver_options(fit) == SolverOptions()
     params = inspect.signature(fit_pipeline).parameters
-    for name in ("restarts", "seed", "center_column", "center_alpha"):
+    for name in ("restarts", "seed"):
         assert getattr(fit, name) == params[name].default
+    assert fit.center_column is None and fit.center_alpha == 1.0
 
     phase = parser.parse_args(["phase", "--mode", "imbalance", "-o", "p"])
     assert PhaseConfig(

@@ -61,6 +61,9 @@ def test_kmeans_rejects_fewer_distinct_rows_than_k():
     assert kmeans(pts, 2, restarts=3).inertia == 0.0
     with pytest.raises(DataValidationError, match="fewer than 3 distinct rows"):
         kmeans(pts, 3, restarts=3)
+    # three distinct rows, but 1e-200 is at squared distance 0 from 0
+    with pytest.raises(DataValidationError, match="underflows to 0 count as one"):
+        kmeans(np.array([[0.0], [1e-200], [5.0]]), 3, restarts=1)
 
 
 @st.composite

@@ -65,6 +65,7 @@ def test_round_trip_bit_identical(tmp_path):
     dataset, _ = gen_sim1(Sim1Config(k=3, d=4, n_per_class=8, alpha=0.3, seed=5))
     path = tmp_path / "sim.csv"
     save_csv(dataset, path)
+    assert b"\r" not in path.read_bytes()  # LF line ends, like every mixreg CSV
     loaded = load_csv(path)
     assert np.array_equal(loaded.features, dataset.features)
     assert np.array_equal(loaded.responses, dataset.responses)

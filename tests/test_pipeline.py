@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mixreg.cluster import match_labels
-from mixreg.dataio import load_betas, load_csv, preprocess_center_scale
+from mixreg.dataio import load_betas, load_csv
 from mixreg.errors import DataValidationError
 from mixreg.pipeline import fit_pipeline
 
@@ -42,16 +42,6 @@ def test_fit_pipeline_single_class():
     )
     report, _ = fit_pipeline(ds, k=1, seed=0)
     assert np.allclose(report.betas_hat[0], [1.0, 1.0], atol=1e-6)
-
-
-def test_fit_pipeline_preprocessing_matches_manual(tone_like_path):
-    dataset = load_csv(tone_like_path)
-    manual = preprocess_center_scale(dataset, 40.0, 0)
-    auto_report, _ = fit_pipeline(
-        dataset, k=2, seed=0, center_column=0, center_alpha=40.0
-    )
-    manual_report, _ = fit_pipeline(manual, k=2, seed=0)
-    assert np.allclose(auto_report.betas_hat, manual_report.betas_hat, atol=1e-12)
 
 
 def test_certified_fit_takes_labels_from_the_field(monkeypatch, two_lines_path):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixreg.errors import (
@@ -118,16 +118,21 @@ def _bordered_systems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_bordered_systems())
+@example(system=(3, 2, 6145))  # Schur complement cond 3.8e6: unrefined 2.6e-10
 def test_bordered_solver_matches_dense_kkt_solve(system):
     # the reduced solve's (m + d) system, solved through the Cholesky factors
-    # of its multiplier block and Schur complement, against a dense LU solve
+    # of its multiplier block and Schur complement and refined once on the
+    # bordered residual as _solve_reduced_kkt refines, against a dense LU solve
     m, d, seed = system
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((m, d))
     Lp = _laplacian_pinv(_laplacian(_random_weights(rng, m).w))
     S11 = 0.5 * (Lp * (feats @ feats.T))
     top, bottom = rng.standard_normal(m), rng.standard_normal(d)
-    x, y = _bordered_solver(S11, feats)(top, bottom)
+    resolve = _bordered_solver(S11, feats)
+    x, y = resolve(top, bottom)
+    dx, dy = resolve(top - S11 @ x - feats @ y, bottom - feats.T @ x)
+    x, y = x + dx, y + dy
     K = np.block([[S11, feats], [feats.T, np.zeros((d, d))]])
     expected = np.linalg.solve(K, np.concatenate([top, bottom]))
     error = np.linalg.norm(np.concatenate([x, y]) - expected)
@@ -231,6 +236,19 @@ def test_weighted_ls_step_fused_points_fallback():
     z = _project_rows(z, rows)
     assert _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL
     _assert_matches_eqp(ds, w)
+
+
+def test_irls_refuses_overflowing_distances_without_warnings():
+    # the d = 2 rows pin estimates near +-1e154: the reduced solve passes its
+    # guards, and the distance pass must overflow silently into the refusal
+    ds = Dataset(
+        np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
+        np.array([1e154, -1e154, 1e154, -1e154]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataValidationError, match="too far apart"):
+            irls_solve(ds)
 
 
 def test_stationarity_guard_fails_closed_on_nan(monkeypatch):
@@ -379,8 +397,7 @@ def test_irls_concurrent_lines_two_iterations():
 
 
 def test_irls_scale_equivariance():
-    # compare equal-length runs: the step-norm stopping rule is itself
-    # scale-dependent, so letting it fire would compare different iterates
+    # equal-length runs compare the loop itself, with the stop rule kept out
     rng = np.random.default_rng(11)
     ds = _random_instance(rng, 8, 3)
     scaled = Dataset(ds.features, 3.0 * ds.responses)
@@ -390,6 +407,15 @@ def test_irls_scale_equivariance():
     assert tr_a.iterations == tr_b.iterations == 40
     rel = np.linalg.norm(big.z - 3.0 * base.z) / np.linalg.norm(3.0 * base.z)
     assert rel <= 1e-8
+    # the step is measured relative to the field, so scaling b leaves the
+    # stopping solve where it was
+    base, trace = irls_solve(ds)
+    assert trace.stop_reason == "step"
+    for scale in (1e4, 1e8):
+        big, tr_b = irls_solve(Dataset(ds.features, scale * ds.responses))
+        assert tr_b.iterations == trace.iterations
+        rel = np.linalg.norm(big.z - scale * base.z) / np.linalg.norm(scale * base.z)
+        assert rel <= 1e-8
 
 
 def test_irls_permutation_equivariance():
@@ -483,7 +509,9 @@ def _reference_irls(ds, opts):
         history.append(smoothed_objective(Z, DELTA))
         if base is not None:
             step = recovery_error(Z, base)
-        if step is not None and step < opts.stop_tol:
+        if base is not None and (
+            np.linalg.norm(Z.z - base) <= opts.stop_tol * np.linalg.norm(base)
+        ):
             stop_reason = "step"
             break
         weights, base = update_weights(Z, DELTA), Z.z
