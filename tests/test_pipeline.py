@@ -44,6 +44,21 @@ def test_fit_pipeline_single_class():
     assert np.allclose(report.betas_hat[0], [1.0, 1.0], atol=1e-6)
 
 
+def test_fit_pipeline_preprocessing_matches_manual(tone_like_path):
+    from mixreg.cluster import refit_regression
+    from mixreg.dataio import preprocess_center_scale
+
+    # tone_like's second column is the constant 1, so centering and scaling
+    # the first column only reparametrizes each class's line
+    dataset = load_csv(tone_like_path)
+    alpha, mu = 40.0, dataset.features[:, 0].mean()
+    report, _ = fit_pipeline(preprocess_center_scale(dataset, alpha, 0), k=2, seed=0)
+    slope, offset = report.betas_hat[:, 0], report.betas_hat[:, 1]
+    mapped = np.column_stack([alpha * slope, offset - alpha * mu * slope])
+    manual = refit_regression(dataset, report.labels).betas_hat
+    assert np.allclose(mapped, manual, rtol=1e-9, atol=1e-9)
+
+
 def test_certified_fit_takes_labels_from_the_field(monkeypatch, two_lines_path):
     import mixreg.pipeline as pipeline_mod
     from mixreg.cluster import refit_regression
