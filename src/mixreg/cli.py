@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=PhaseConfig.trials)
     p.add_argument("--seed", type=int, default=PhaseConfig.base_seed, help="base seed")
     p.add_argument("--workers", type=int, default=_RUN_PHASE["workers"].default,
-                   help="worker processes, at most one per cell")
+                   help="processes that run trials, this one included; "
+                        "at most one per cell")
     p.add_argument("-o", "--output", required=True,
                    help="output prefix (.csv, .pgm, .json)")
     _add_solver_flags(p)

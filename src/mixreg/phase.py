@@ -9,13 +9,18 @@ distance between the solver output and the candidate solution is below the
 fixed threshold ``SUCCESS_TOL = 1e-5``.
 
 Each trial's seed is a pure function of (base_seed, d, sweep index, trial
-index), so cells can run in any order or in parallel and reproduce exactly.
+index), so trials can run in any order and in any process and the grid
+reproduces exactly.  ``run_phase`` hands trials out one at a time from a
+shared counter to the calling process and to ``workers - 1`` child
+processes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import itertools
+import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -180,33 +185,95 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
         )
 
 
-def _run_cell(args) -> tuple[TrialRecord, ...]:
-    cfg, di, si = args
-    d = cfg.d_values[di]
-    return tuple(_run_trial(cfg, d, si, t) for t in range(cfg.trials))
+def _run_share(cfg: PhaseConfig, trials: list, take) -> dict[int, TrialRecord]:
+    """Run ``trials[i]`` for each index ``take()`` returns, until one is past
+    the end; this process's share of the grid, keyed by index."""
+    done = {}
+    while (i := take()) < len(trials):
+        di, si, t = trials[i]
+        done[i] = _run_trial(cfg, cfg.d_values[di], si, t)
+    return done
+
+
+def _take(counter) -> int:
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
+def _child(cfg: PhaseConfig, trials: list, counter, send) -> None:
+    """A child process's loop: sends its share, or the exception that ended
+    it, back once."""
+    try:
+        result = _run_share(cfg, trials, partial(_take, counter))
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(trials)  # the others stop after their trial
+        result = exc
+    send.send(result)
+    send.close()
+
+
+def _run_shared(cfg: PhaseConfig, trials: list, workers: int) -> dict[int, TrialRecord]:
+    """Run ``trials`` in this process and ``workers - 1`` children."""
+    ctx = multiprocessing.get_context()
+    counter = ctx.Value("q", 0)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(cfg, trials, counter, send), daemon=True)
+            child.start()
+            send.close()  # the child holds the only write end: its exit means EOF
+            children.append((child, receive))
+        done = _run_share(cfg, trials, partial(_take, counter))
+        for child, receive in children:
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"phase worker exited with code {child.exitcode} before "
+                    "sending its trials"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            done.update(result)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()  # one blocked on a full pipe would never join
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return done
 
 
 def run_phase(cfg: PhaseConfig, workers: int = 1) -> PhaseGrid:
-    """Run every (d, sweep value, trial) cell; failures never abort the sweep.
+    """Run every (d, sweep value, trial) of the grid; trial failures are
+    recorded, never raised.
 
-    ``workers`` must be at least 1; no more processes than cells are started.
+    ``workers`` counts the processes that run trials, this one included: it
+    must be at least 1 and is capped at the number of cells, and
+    ``workers - 1`` children are started.  Trials are handed out one at a
+    time, so a process that finishes early takes the next one.  With one
+    process no child is started.  Any other exception in a child is
+    re-raised here, and no child outlives the call.
     """
     if workers < 1:
         raise DataValidationError("workers must be at least 1")
-    tasks = [
-        (cfg, di, si)
-        for di in range(len(cfg.d_values))
-        for si in range(len(cfg.sweep_values))
-    ]
-    workers = min(workers, len(tasks))
+    n_d, n_s, n_t = len(cfg.d_values), len(cfg.sweep_values), cfg.trials
+    trials = list(itertools.product(range(n_d), range(n_s), range(n_t)))
+    workers = min(workers, n_d * n_s)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, tasks))
+        done = _run_shared(cfg, trials, workers)
     else:
-        results = [_run_cell(t) for t in tasks]
-    # map keeps task order: one row of len(sweep_values) cells per d
-    n_s = len(cfg.sweep_values)
-    records = tuple(tuple(results[i : i + n_s]) for i in range(0, len(results), n_s))
+        done = _run_share(cfg, trials, itertools.count().__next__)
+    # trials are in (d, sweep value, trial) order: n_t per cell, n_s cells per d
+    cells = [tuple(done[i] for i in range(j, j + n_t)) for j in range(0, len(trials), n_t)]
+    records = tuple(tuple(cells[i : i + n_s]) for i in range(0, len(cells), n_s))
     return PhaseGrid(config=cfg, records=records)
 
 

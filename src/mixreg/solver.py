@@ -597,7 +597,7 @@ def irls_solve(
     if k is not None and not 1 <= k <= dataset.m:
         raise DataValidationError(f"k must be in [1, {dataset.m}], got {k}")
     rows = _rows(dataset)  # the features never change
-    w = WeightMatrix.uniform(dataset.m).w
+    w = np.ones((dataset.m, dataset.m)) - np.eye(dataset.m)  # uniform weights
     base: np.ndarray | None = None  # the field whose weights w are
     cycle: list[np.ndarray] = []  # the current cycle's anchor, then F1
     history: list[float] = []

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from mixreg.phase import (
     write_grid_pgm,
 )
 from mixreg.solver import SolverOptions
+from mixreg.synth import Sim1Config, gen_sim1
 
 
 def _tiny_cfg(**kwargs):
@@ -163,32 +168,112 @@ def test_grid_with_custom_solver_options():
     assert grid.records[0][0][0].iterations <= 2
 
 
+_CONTEXT = multiprocessing.get_context()
+fork_only = pytest.mark.skipif(
+    _CONTEXT.get_start_method() != "fork",
+    reason="children see this process's monkeypatches only when forked",
+)
+
+
+class _CountingProcess(_CONTEXT.Process):
+    """The default context's process class, counting the children started."""
+
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
 def test_workers_validated_and_capped_at_cell_count(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Records the requested pool size; runs the cells in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(phase_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_CountingProcess, "started", 0)
+    monkeypatch.setattr(_CONTEXT, "Process", _CountingProcess)
     for workers in (0, -3):
         with pytest.raises(DataValidationError, match="workers must be at least 1"):
             run_phase(_tiny_cfg(trials=1), workers=workers)
-    assert sizes == []
+    assert _CountingProcess.started == 0
     one_cell = run_phase(_tiny_cfg(trials=1), workers=5000)
-    assert sizes == []  # a single cell runs in this process
+    assert _CountingProcess.started == 0  # a single cell runs in this process
     two_cells = run_phase(_tiny_cfg(sweep_values=(0.1, 0.2), trials=1), workers=5000)
-    assert sizes == [2]
+    assert _CountingProcess.started == 1  # this process and one child
     assert one_cell.fractions.tolist() == [[1.0]]
     assert two_cells.fractions.tolist() == [[1.0, 1.0]]
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_grid_identical_for_every_worker_count(monkeypatch):
+    cfg = _tiny_cfg(d_values=(3, 4), sweep_values=(0.1, 0.2), trials=3)
+    # the (d = 4, alpha = 0.2) cell's instances, recognized by their responses
+    failing = {
+        gen_sim1(Sim1Config(k=3, d=4, n_per_class=16, alpha=0.2,
+                            seed=trial_seed(cfg.base_seed, 4, 1, t)))[0].responses.tobytes()
+        for t in range(cfg.trials)
+    }
+    solve = phase_mod.irls_solve
+
+    def fail_one_cell(dataset, opts, k=None):
+        if dataset.responses.tobytes() in failing:
+            raise NumericalError("forced failure")
+        return solve(dataset, opts, k=k)
+
+    monkeypatch.setattr(phase_mod, "irls_solve", fail_one_cell)
+    grids = [run_phase(cfg, workers=w).to_dict() for w in (1, 2, 3)]
+    assert grids[1] == grids[0] and grids[2] == grids[0]
+    assert [[r["failed"] for r in c["records"]] for c in grids[0]["cells"]] == [
+        [False] * 3, [False] * 3, [False] * 3, [True] * 3,
+    ]
+    assert grids[0]["fractions"] == [[1.0, 1.0], [1.0, 0.0]]
+
+
+@fork_only
+def test_exceptions_propagate_and_no_child_survives(monkeypatch):
+    cfg = _tiny_cfg(sweep_values=(0.1, 0.2), trials=3)
+    run_trial = phase_mod._run_trial
+    parent = os.getpid()
+
+    def raise_on_one_trial(cfg, d, si, t):
+        if (si, t) == (1, 1):
+            raise RuntimeError("trial boom")
+        return run_trial(cfg, d, si, t)
+
+    def raise_in_child(cfg, d, si, t):
+        if os.getpid() != parent:
+            raise RuntimeError("child boom")
+        time.sleep(0.05)  # leave trials for the child to take
+        return run_trial(cfg, d, si, t)
+
+    def child_dies(cfg, d, si, t):
+        if os.getpid() != parent:
+            os._exit(7)
+        return run_trial(cfg, d, si, t)
+
+    for patch, message in [
+        (raise_on_one_trial, "trial boom"),
+        (raise_in_child, "child boom"),
+        (child_dies, "exited with code 7"),
+    ]:
+        monkeypatch.setattr(phase_mod, "_run_trial", patch)
+        with pytest.raises(RuntimeError, match=message):
+            run_phase(cfg, workers=2)
+        assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_each_trial_runs_once_under_contention(monkeypatch):
+    # instant trials and more processes than cores keep the shared counter
+    # contended; a lost update would run some trial twice
+    calls = _CONTEXT.Value("q", 0)
+
+    def count(cfg, d, si, t):
+        with calls.get_lock():
+            calls.value += 1
+        return phase_mod.TrialRecord(seed=t, recovery_error=0.0, iterations=si)
+
+    monkeypatch.setattr(phase_mod, "_run_trial", count)
+    cfg = _tiny_cfg(d_values=(3, 4), sweep_values=(0.1, 0.2), trials=500)
+    grid = run_phase(cfg, workers=4)
+    assert calls.value == 2 * 2 * 500
+    got = [[[(r.seed, r.iterations) for r in cell] for cell in row] for row in grid.records]
+    assert got == [[[(t, si) for t in range(500)] for si in range(2)] for _ in range(2)]
+    assert multiprocessing.active_children() == []
