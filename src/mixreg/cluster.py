@@ -44,94 +44,69 @@ class RefitResult:
         object.__setattr__(self, "per_class_residual", residual)
 
 
-def _plusplus_seeds(points: np.ndarray, k: int, rngs) -> np.ndarray:
-    """Plus-plus seeds of every restart as an ``(R, k, d)`` array.
+def _plusplus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Plus-plus seeds of one restart as a ``(k, d)`` array.
 
-    Restart ``r`` draws from ``rngs[r]`` exactly as ``Generator.choice(m,
-    p=sq / total)`` would: the cumulative distribution, normalized by its
-    last entry, counts the entries at or below one uniform draw.  A seeding
-    total that overflows in any restart raises, and so does one that
-    vanishes, which happens only once every point is at squared distance 0
-    from a center: the search never picks a zero-weight row, so the
-    restarts run out of distinct rows together.
+    A seeding total that overflows raises, and so does one that vanishes,
+    which happens only once every point is at squared distance 0 from a
+    center: ``Generator.choice`` never picks a zero-weight row.
     """
-    m, d = points.shape
-    centers = np.zeros((len(rngs), k, d))
-    centers[:, 0] = points[[rng.integers(m) for rng in rngs]]
+    m = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(m)]
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
-        sq = np.sum((points - centers[:, :1]) ** 2, axis=2)
+        sq = np.sum((points - centers[0]) ** 2, axis=1)
         for c in range(1, k):
-            total = sq.sum(axis=1)
-            if np.any(total == np.inf):
+            total = sq.sum()
+            if total == np.inf:
                 raise DataValidationError(_OVERFLOW)
-            if not np.all(total > 0):  # every point is a chosen center
+            if not total > 0:  # every point is a chosen center
                 raise DataValidationError(
                     f"cannot form {k} clusters: the points have fewer than "
                     f"{k} distinct rows (rows whose squared distance underflows "
                     "to 0 count as one)"
                 )
-            cdf = np.cumsum(sq / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
-            draws = np.array([rng.random() for rng in rngs])
-            chosen = points[np.count_nonzero(cdf <= draws[:, None], axis=1)]
-            centers[:, c] = chosen
-            sq = np.minimum(sq, np.sum((points - chosen[:, None]) ** 2, axis=2))
+            centers[c] = points[rng.choice(m, p=sq / total)]
+            sq = np.minimum(sq, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
 
 
 def _assign(points: np.ndarray, centers: np.ndarray):
-    """Each restart's labels, each point's squared distance to its center,
-    and their sum, for ``(R, k, d)`` centers."""
+    """Labels, each point's squared distance to its center, and their sum."""
     with np.errstate(over="ignore"):  # kmeans refuses an inf inertia
-        d2 = np.sum((points[:, None, :] - centers[:, None, :, :]) ** 2, axis=3)
-        restarts, m, k = d2.shape
-        labels = np.argmin(d2, axis=2)  # argmin ties break toward the lowest index
-        dist = d2.reshape(-1, k)[np.arange(restarts * m), labels.ravel()].reshape(restarts, m)
-        return labels, dist, dist.sum(axis=1)
+        d2 = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)  # argmin ties break toward the lowest index
+        dist = d2[np.arange(points.shape[0]), labels]
+        return labels, dist, float(dist.sum())
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray):
-    """Lloyd's iterations of every restart at once from its ``(R, k, d)``
-    seeds; returns the centers, labels and inertia of each.
+    """Lloyd's iterations of one restart from its ``(k, d)`` seeds; returns
+    its centers, labels and inertia.
 
-    Each cluster mean is its members' sum in row order over their count; a
-    restart's empty cluster takes the point farthest from its center, never
-    the same point twice.  A restart leaves the active set when its labels
-    stop changing or after ``LLOYD_MAX_ITER`` iterations; a cluster mean
-    that overflows in any restart raises.
+    Each cluster mean is its members' sum in row order over their count; an
+    empty cluster takes the point farthest from its center, never the same
+    point twice.  The iterations stop when the labels stop changing or after
+    ``LLOYD_MAX_ITER``; a cluster mean that overflows raises.
     """
-    m, d = points.shape
-    restarts, k = centers.shape[:2]
-    coords = np.tile(points.ravel(), restarts)  # one copy per restart
-    active = np.arange(restarts)
     labels, dist, inertia = _assign(points, centers)
-    labels_now = labels.copy()
     for _ in range(LLOYD_MAX_ITER):
-        if active.size == 0:
-            break
-        cells = np.arange(active.size)[:, None] * k + labels_now  # (restart, cluster)
-        counts = np.bincount(cells.ravel(), minlength=active.size * k).reshape(-1, k)
+        counts = np.bincount(labels, minlength=len(centers))
+        sums = np.zeros(centers.shape)
         with np.errstate(over="ignore"):  # an overflowed mean is refused below
-            sums = np.bincount(
-                (cells[:, :, None] * d + np.arange(d)).ravel(),
-                coords[: active.size * m * d],
-                minlength=active.size * k * d,
-            )
-        new_centers = sums.reshape(-1, k, d) / np.maximum(counts, 1)[:, :, None]
-        if np.isinf(new_centers).any():  # a cluster's coordinate sum overflowed
+            np.add.at(sums, labels, points)
+        centers = sums / np.maximum(counts, 1)[:, None]
+        if np.isinf(centers).any():  # a cluster's coordinate sum overflowed
             raise DataValidationError("points are too large: a cluster mean overflows")
-        for a, c in np.argwhere(counts == 0):
+        for c in np.flatnonzero(counts == 0):
             # repair: the point farthest from its center becomes this one
-            far = int(np.argmax(dist[a]))
-            new_centers[a, c] = points[far]
-            dist[a, far] = -1.0  # not reused by another empty cluster
-        old_labels = labels_now
-        labels_now, dist, inertia_now = _assign(points, new_centers)
-        centers[active] = new_centers
-        labels[active] = labels_now
-        inertia[active] = inertia_now
-        moving = np.any(labels_now != old_labels, axis=1)
-        active, labels_now, dist = active[moving], labels_now[moving], dist[moving]
+            far = int(np.argmax(dist))
+            centers[c] = points[far]
+            dist[far] = -1.0  # not reused by another empty cluster
+        old_labels = labels
+        labels, dist, inertia = _assign(points, centers)
+        if np.array_equal(labels, old_labels):
+            break
     return centers, labels, inertia
 
 
@@ -140,11 +115,11 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
 
     Deterministic for a fixed seed: restart ``r`` draws from its own stream
     keyed by ``(seed, r)``, and the best run is chosen by lowest inertia with
-    ties broken toward the lowest restart index.  All restarts run as one
-    array computation, with the results of running them one at a time.
-    Points with fewer than ``k`` distinct rows, or whose plus-plus seeding
-    total, cluster mean (both in any restart) or best inertia overflows,
-    raise :class:`DataValidationError` at the first check that fails.
+    ties broken toward the lowest restart index.  Every restart is seeded
+    before any runs Lloyd's iterations.  Points with fewer than ``k``
+    distinct rows, or whose plus-plus seeding total, cluster mean (both in
+    any restart) or best inertia overflows, raise
+    :class:`DataValidationError` at the first check that fails.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -156,18 +131,13 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
         raise DataValidationError(f"k must be in [1, {m}], got {k}")
     if restarts < 1:
         raise DataValidationError("restarts must be at least 1")
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        for r in range(restarts)
-    ]
-    centers = _plusplus_seeds(points, k, rngs)
-    centers, labels, inertia = _lloyd(points, centers)
-    best = int(np.argmin(inertia))
-    if inertia[best] == np.inf:
+    streams = (np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(restarts))
+    seeds = [_plusplus_seeds(points, k, np.random.default_rng(s)) for s in streams]
+    # min keeps the first of equal inertias: ties go to the lowest restart
+    centers, labels, inertia = min((_lloyd(points, c) for c in seeds), key=lambda run: run[2])
+    if inertia == np.inf:
         raise DataValidationError(_OVERFLOW)
-    return ClusteringResult(
-        centers=centers[best], labels=labels[best], inertia=float(inertia[best])
-    )
+    return ClusteringResult(centers=centers, labels=labels, inertia=inertia)
 
 
 def refit_regression(dataset: Dataset, labels) -> RefitResult:

@@ -95,7 +95,6 @@ from .model import (
     EstimateField,
     MixtureModel,
     _as_matrix,
-    recovery_error,
 )
 
 __all__ = [
@@ -116,8 +115,6 @@ SUBPROBLEM_TOL = 1e-10
 SPAN_RTOL = 1e-12
 # Smoothing constant of the weight update.
 DELTA = 1e-16
-# k-means restarts of a certified-exit attempt
-_EXIT_RESTARTS = 5
 _TOO_FAR = "estimates are too far apart: squared distances overflow"
 
 
@@ -199,11 +196,6 @@ class WeightMatrix:
     @property
     def m(self) -> int:
         return self.w.shape[0]
-
-    @classmethod
-    def uniform(cls, m: int) -> "WeightMatrix":
-        w = np.ones((m, m)) - np.eye(m)
-        return cls(w)
 
 
 def _pairwise_sq_dists(z: np.ndarray) -> np.ndarray:
@@ -517,7 +509,7 @@ def _feasibility_gap(rows: _Rows, z) -> float | None:
 
 def _certified_field(
     dataset: Dataset, rows: _Rows, z: np.ndarray, k: int
-) -> tuple[EstimateField, float] | None:
+) -> tuple[np.ndarray, float] | None:
     """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
     with its largest constraint gap, if that field is feasible and the
     closed-form certificate proves it the program's unique minimizer;
@@ -525,7 +517,7 @@ def _certified_field(
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderdeterminedFitWarning)
         try:
-            labels = kmeans(z, k, restarts=_EXIT_RESTARTS, seed=0).labels
+            labels = kmeans(z, k, restarts=1, seed=0).labels
             betas = refit_regression(dataset, labels).betas_hat
             snapped = betas[labels]
             gap = _feasibility_gap(rows, snapped)
@@ -538,7 +530,7 @@ def _certified_field(
             )
         except (MixregError, UnderdeterminedFitWarning):
             return None
-    return (EstimateField(snapped), gap) if verdict.certifies else None
+    return (snapped, gap) if verdict.certifies else None
 
 
 def _squarem_point(x: np.ndarray, f1: np.ndarray, f2: np.ndarray, rows: _Rows):
@@ -608,29 +600,27 @@ def irls_solve(
     next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
         z, gap = _weighted_ls(rows, w)
-        Z = EstimateField(z)
-        w, objective = _reweight(Z.z, DELTA)  # next weights, this objective
+        w, objective = _reweight(z, DELTA)  # next weights, this objective
         if objective == np.inf:
             raise DataValidationError(_TOO_FAR)
         history.append(objective)
         max_feas = max(max_feas, gap)
         if base is not None:
-            step = recovery_error(Z, base)
+            step_norm = np.linalg.norm(z - base)
+            step = float(step_norm / np.sqrt(dataset.m))
         if t == next_exit:
             next_exit *= 2
-            certified = _certified_field(dataset, rows, Z.z, k)
+            certified = _certified_field(dataset, rows, z, k)
             if certified is not None:
-                Z, certified_gap = certified
+                z, certified_gap = certified
                 max_feas = max(max_feas, certified_gap)
                 stop_reason = "certified"
                 break
         # relative to the field, so the stop does not depend on the units of b
-        if base is not None and (
-            np.linalg.norm(Z.z - base) <= opts.stop_tol * np.linalg.norm(base)
-        ):
+        if base is not None and step_norm <= opts.stop_tol * np.linalg.norm(base):
             stop_reason = "step"
             break
-        base = Z.z
+        base = z
         cycle.append(base)
         if len(cycle) == 3:
             x_new = _squarem_point(*cycle, rows)
@@ -647,4 +637,4 @@ def irls_solve(
         stop_reason=stop_reason,
         extrapolations=extrapolations,
     )
-    return Z, trace
+    return EstimateField(z), trace

@@ -3,10 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixreg.certificate import Certificate, build_certificate, verify_certificate
+from mixreg.certificate import (
+    DEFAULT_S1_TOL,
+    GAMMA_BORDERLINE,
+    Certificate,
+    build_certificate,
+    verify_certificate,
+)
 from mixreg.errors import (
     CertificateUndefinedError,
     DataValidationError,
@@ -15,7 +21,14 @@ from mixreg.errors import (
 from mixreg.geometry import _split_rows, check_conditions, weighted_directions
 from mixreg.model import Dataset, MixtureModel, candidate_solution, recovery_error
 from mixreg.solver import irls_solve
-from mixreg.synth import Sim1Config, Sim2Config, gen_sim1, gen_sim2
+from mixreg.synth import (
+    SIM1_ALPHA_MAX,
+    SIM2_TAU_MAX,
+    Sim1Config,
+    Sim2Config,
+    gen_sim1,
+    gen_sim2,
+)
 from oracles import certificate_xi
 
 
@@ -294,3 +307,69 @@ def test_stationarity_defect_is_the_balance_residual(instance):
         for p in range(model.k)
     )
     assert abs(verdict.s1_residual - expected) <= 1e-12 * verdict.s1_scale
+
+
+@st.composite
+def _generated_instances(draw):
+    """A ``gen_sim1`` or ``gen_sim2`` instance, and a seed for the change of
+    variables applied to it."""
+    d = draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        alpha = draw(st.floats(0.02, SIM1_ALPHA_MAX))
+        instance = gen_sim1(Sim1Config(k=3, d=d, n_per_class=2 * d, alpha=alpha, seed=seed))
+    else:
+        instance = gen_sim2(Sim2Config(d=d, tau=draw(st.floats(0.0, SIM2_TAU_MAX)), seed=seed))
+    return instance, draw(st.integers(0, 2**32 - 1))
+
+
+def _verdicts(dataset, model):
+    """The flags of the conditions and the certificate, and the figures they
+    are read from: gamma, the relative stationarity defect, the separation
+    ratio and the balance residuals."""
+    report = check_conditions(dataset, model)
+    verdict = verify_certificate(build_certificate(dataset, model), dataset, model)
+    flags = (
+        report.well_separated,
+        tuple(report.span_ok),
+        verdict.strict_gamma,
+        verdict.borderline_gamma,
+        verdict.spans_ok,
+        verdict.certifies,
+    )
+    s1_ratio = verdict.s1_residual / verdict.s1_scale
+    figures = np.array([verdict.gamma, s1_ratio, report.separation_lhs, *report.balance_residuals])
+    # a figure within rounding of its flag's threshold may flip that flag
+    assume(abs(verdict.gamma - 1.0) > 1e-12)
+    assume(abs(verdict.gamma - (1.0 - GAMMA_BORDERLINE)) > 1e-12)
+    assume(abs(s1_ratio - DEFAULT_S1_TOL) > 1e-12)
+    assume(abs(report.separation_lhs - report.separation_rhs) > 1e-12)
+    return flags, figures
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generated_instances())
+def test_verdicts_invariant_under_orthogonal_change_of_coordinates(case):
+    # a_i -> Q a_i and beta -> Q beta keep every projection ratio and norm
+    (dataset, model), seed = case
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dataset.d, dataset.d)))
+    rotated = Dataset(dataset.features @ Q.T, dataset.responses, dataset.labels)
+    rotated_model = MixtureModel(model.betas @ Q.T, model.sizes)
+    flags, figures = _verdicts(dataset, model)
+    rotated_flags, rotated_figures = _verdicts(rotated, rotated_model)
+    assert rotated_flags == flags
+    np.testing.assert_allclose(rotated_figures, figures, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generated_instances())
+def test_verdicts_invariant_under_row_rescaling(case):
+    # (a_i, b_i) -> (s_i a_i, s_i b_i) is the same constraint; nu_i -> nu_i / s_i
+    (dataset, model), seed = case
+    rng = np.random.default_rng(seed)
+    s = rng.choice([-1.0, 1.0], dataset.m) * 10.0 ** rng.uniform(-1.0, 1.0, dataset.m)
+    scaled = Dataset(s[:, None] * dataset.features, s * dataset.responses, dataset.labels)
+    flags, figures = _verdicts(dataset, model)
+    scaled_flags, scaled_figures = _verdicts(scaled, model)
+    assert scaled_flags == flags
+    np.testing.assert_allclose(scaled_figures, figures, rtol=1e-12, atol=1e-12)

@@ -89,6 +89,26 @@ def test_kmeans_refuses_too_few_distinct_rows_in_every_restart(case, restarts, s
         kmeans(points, k, restarts=restarts, seed=seed)
 
 
+def test_kmeans_refusal_comes_from_the_first_restart_that_fails():
+    # restarts are seeded one after another, each to its end: at seeds 9
+    # and 10 restart 0 starts at a far row and runs out of distinct rows,
+    # while a later restart starts at the zero row and its total overflows
+    points = np.array([[0.0], [1e154], [1e154]])
+    for seed in (9, 10):
+        streams = [np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(4)]
+        with pytest.raises(DataValidationError, match="fewer than 3 distinct rows"):
+            cluster_mod._plusplus_seeds(points, 3, np.random.default_rng(streams[0]))
+        overflows = 0
+        for stream in streams[1:]:
+            try:
+                cluster_mod._plusplus_seeds(points, 3, np.random.default_rng(stream))
+            except DataValidationError as err:
+                overflows += "squared distances overflow" in str(err)
+        assert overflows > 0
+        with pytest.raises(DataValidationError, match="fewer than 3 distinct rows"):
+            kmeans(points, 3, restarts=4, seed=seed)
+
+
 def test_lloyd_repairs_empty_clusters(monkeypatch):
     # seeding at one point three times leaves two clusters empty; each is
     # given the point farthest from its center, never the same point twice
@@ -96,7 +116,7 @@ def test_lloyd_repairs_empty_clusters(monkeypatch):
     monkeypatch.setattr(
         cluster_mod,
         "_plusplus_seeds",
-        lambda points, k, rngs: np.tile(points[0], (len(rngs), k, 1)),
+        lambda points, k, rng: np.tile(points[0], (k, 1)),
     )
     result = kmeans(pts, 3, restarts=1)
     assert result.labels[0] == result.labels[1]
@@ -133,7 +153,8 @@ def test_kmeans_matches_per_restart_reference(case):
     if seeds is None:
         result = kmeans(points, k, restarts=restarts, seed=seed)
     else:
-        forced = lambda points, k, rngs: points[seeds]  # noqa: E731
+        rows = iter(seeds)  # one restart's seed rows per call
+        forced = lambda points, k, rng: points[next(rows)]  # noqa: E731
         with mock.patch.object(cluster_mod, "_plusplus_seeds", forced):
             result = kmeans(points, k, restarts=restarts, seed=seed)
     centers, labels, inertia = kmeans_reference(points, k, restarts, seed, seeds)
@@ -162,15 +183,15 @@ def test_plusplus_draws_as_generator_choice():
         restarts = int(gen.integers(1, 5))
         points = gen.standard_normal((m, d)) * 10.0 ** gen.integers(-5, 5, size=(m, 1))
         rngs = [np.random.default_rng([trial, r]) for r in range(restarts)]
-        centers = cluster_mod._plusplus_seeds(points, k, rngs)
         for r, rng in enumerate(rngs):
+            centers = cluster_mod._plusplus_seeds(points, k, rng)
             twin = np.random.default_rng([trial, r])
             rows = [twin.integers(m)]
             sq = np.sum((points - points[rows[0]]) ** 2, axis=1)
             for _ in range(1, k):
                 rows.append(twin.choice(m, p=sq / sq.sum()))
                 sq = np.minimum(sq, np.sum((points - points[rows[-1]]) ** 2, axis=1))
-            assert np.array_equal(centers[r], points[rows])
+            assert np.array_equal(centers, points[rows])
             assert rng.random() == twin.random()
 
 

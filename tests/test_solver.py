@@ -47,6 +47,10 @@ def _random_instance(rng, m, d):
     return Dataset(feats, resp)
 
 
+def _uniform_weights(m):
+    return WeightMatrix(np.ones((m, m)) - np.eye(m))
+
+
 def _random_weights(rng, m):
     w = rng.uniform(0.1, 2.0, (m, m))
     w = (w + w.T) / 2.0
@@ -68,8 +72,9 @@ def test_weight_matrix_validation():
         WeightMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(DataValidationError):
         WeightMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    uniform = WeightMatrix.uniform(3)
+    uniform = _uniform_weights(3)  # kept as given, read-only
     assert np.array_equal(uniform.w, np.ones((3, 3)) - np.eye(3))
+    assert not uniform.w.flags.writeable
 
 
 def test_update_weights_values():
@@ -144,7 +149,7 @@ def test_weighted_ls_step_concurrent_lines():
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
         np.array([1.0, 1.0, 2.0]),
     )
-    Z = weighted_ls_step(ds, WeightMatrix.uniform(3))
+    Z = weighted_ls_step(ds, _uniform_weights(3))
     assert np.allclose(Z.z, 1.0, atol=1e-10)
     assert objective(Z) <= 1e-9
 
@@ -217,7 +222,7 @@ def _criterion7_instance(index):
 def _plain_public_irls(ds, rounds):
     """``rounds`` plain (unaccelerated) IRLS solves through the public,
     validating building blocks, from uniform weights."""
-    Z = weighted_ls_step(ds, WeightMatrix.uniform(ds.m))
+    Z = weighted_ls_step(ds, _uniform_weights(ds.m))
     for _ in range(rounds - 1):
         Z = weighted_ls_step(ds, update_weights(Z, DELTA))
     return Z
@@ -256,20 +261,20 @@ def test_stationarity_guard_fails_closed_on_nan(monkeypatch):
     # the defect is NaN (inf - inf), though no squared distance overflows
     ds = Dataset(np.ones((3, 1)), np.full(3, 1e200))
     rows = _rows(ds)
-    L = _laplacian(WeightMatrix.uniform(3).w)
+    L = _laplacian(_uniform_weights(3).w)
     z = np.full((3, 1), 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(_stationarity_defect(L, z, np.zeros(3), rows))
         with pytest.raises(DataValidationError, match="squared row norms overflow"):
-            weighted_ls_step(ds, WeightMatrix.uniform(3))
+            weighted_ls_step(ds, _uniform_weights(3))
     # a NaN defect on finite estimates fails the guard: no route is accepted
     import mixreg.solver as solver_mod
 
     monkeypatch.setattr(solver_mod, "_stationarity_defect", lambda *args: float("nan"))
     ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(NumericalError, match="stationarity"):
-        weighted_ls_step(ds, WeightMatrix.uniform(3))
+        weighted_ls_step(ds, _uniform_weights(3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,7 +344,7 @@ def test_connected_on_graphs_with_edges():
     assert _connected(w) is False
     w[2, 3] = w[3, 2] = 0.5
     assert _connected(w) is True
-    assert _connected(WeightMatrix.uniform(4).w) is True
+    assert _connected(_uniform_weights(4).w) is True
 
 
 def test_weighted_ls_step_span_deficient_min_norm():
@@ -347,7 +352,7 @@ def test_weighted_ls_step_span_deficient_min_norm():
     # are unpenalized, so the minimum-norm minimizer is returned
     ds = Dataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 3.0]))
     with pytest.warns(NonUniqueSolutionWarning):
-        Z = weighted_ls_step(ds, WeightMatrix.uniform(2))
+        Z = weighted_ls_step(ds, _uniform_weights(2))
     assert np.allclose(Z.z, np.array([[1.0, 0.0], [3.0, 0.0]]), atol=1e-12)
 
 
@@ -364,7 +369,7 @@ def test_weighted_ls_step_extreme_conditioning_raises():
 def test_weighted_ls_step_shape_checks(sim1_instance):
     dataset, _ = sim1_instance
     with pytest.raises(DataValidationError):
-        weighted_ls_step(dataset, WeightMatrix.uniform(3))
+        weighted_ls_step(dataset, _uniform_weights(3))
 
 
 def test_irls_recovers_separated_instance(sim1_instance):
@@ -502,7 +507,7 @@ def _reference_irls(ds, opts):
     solve's.  Returns the last solve, the field whose weights it used (None
     for uniform weights) and the trace figures."""
     rows = _rows(ds)
-    weights = WeightMatrix.uniform(ds.m)
+    weights = _uniform_weights(ds.m)
     base, cycle, history, step, stop_reason, extrapolations = None, [], [], None, "cap", 0
     for t in range(1, opts.max_iter + 1):
         Z, used = weighted_ls_step(ds, weights), base
@@ -606,7 +611,7 @@ def test_irls_accelerated_loop_invariants(instance):
     assert np.all(gaps <= 1e-12 * scales + 1e-12)
     ref_z, base, *_ = _reference_irls(ds, SolverOptions())
     assert np.array_equal(Z.z, ref_z.z)
-    weights = WeightMatrix.uniform(m) if base is None else update_weights(base, DELTA)
+    weights = _uniform_weights(m) if base is None else update_weights(base, DELTA)
     assert np.array_equal(Z.z, weighted_ls_step(ds, weights).z)
 
 
