@@ -87,9 +87,8 @@ from .errors import (
     MixregError,
     NonUniqueSolutionWarning,
     NumericalError,
-    UnderdeterminedFitWarning,
 )
-from .geometry import _spans, orthonormal_complement_bases
+from .geometry import _class_spans, _spans, orthonormal_complement_bases
 from .model import (
     Dataset,
     EstimateField,
@@ -507,29 +506,28 @@ def _feasibility_gap(rows: _Rows, z) -> float | None:
     return None if np.any(gaps > bounds) else float(np.max(gaps))
 
 
-def _certified_field(
-    dataset: Dataset, rows: _Rows, z: np.ndarray, k: int
-) -> tuple[np.ndarray, float] | None:
+def _certified_field(rows: _Rows, z: np.ndarray, k: int) -> tuple[np.ndarray, float] | None:
     """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
-    with its largest constraint gap, if that field is feasible and the
-    closed-form certificate proves it the program's unique minimizer;
-    ``None`` otherwise."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UnderdeterminedFitWarning)
-        try:
-            labels = kmeans(z, k, restarts=1, seed=0).labels
-            betas = refit_regression(dataset, labels).betas_hat
-            snapped = betas[labels]
-            gap = _feasibility_gap(rows, snapped)
-            if gap is None:
-                return None
-            labeled = Dataset(dataset.features, dataset.responses, labels)
-            model = MixtureModel(betas, np.bincount(labels))
-            verdict = certificate.verify_certificate(
-                certificate.build_certificate(labeled, model), labeled, model
-            )
-        except (MixregError, UnderdeterminedFitWarning):
+    with its largest constraint gap, if every group's rows span the space,
+    that field is feasible and the closed-form certificate proves it the
+    program's unique minimizer; ``None`` otherwise.  A group whose rows do
+    not span cannot certify, so it is refused before its refit."""
+    try:
+        labels = kmeans(z, k, restarts=1, seed=0).labels
+        labeled = Dataset(rows.features, rows.responses, labels)
+        if not np.all(_class_spans(labeled, labeled.num_classes)):
             return None
+        betas = refit_regression(labeled, labels).betas_hat
+        snapped = betas[labels]
+        gap = _feasibility_gap(rows, snapped)
+        if gap is None:
+            return None
+        model = MixtureModel(betas, labeled.class_sizes())
+        verdict = certificate.verify_certificate(
+            certificate.build_certificate(labeled, model), labeled, model
+        )
+    except MixregError:
+        return None
     return (snapped, gap) if verdict.certifies else None
 
 
@@ -610,7 +608,7 @@ def irls_solve(
             step = float(step_norm / np.sqrt(dataset.m))
         if t == next_exit:
             next_exit *= 2
-            certified = _certified_field(dataset, rows, z, k)
+            certified = _certified_field(rows, z, k)
             if certified is not None:
                 z, certified_gap = certified
                 max_feas = max(max_feas, certified_gap)

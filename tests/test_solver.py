@@ -2,13 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mixreg.errors import (
     DataValidationError,
     NonUniqueSolutionWarning,
     NumericalError,
+    UnderdeterminedFitWarning,
 )
 from mixreg.model import (
     Dataset,
@@ -498,6 +499,62 @@ def test_irls_exit_needs_k_at_least_two(sim1_instance, monkeypatch):
         irls_solve(dataset, k=0)
     with pytest.raises(DataValidationError):  # before any exit attempt
         irls_solve(dataset, k=dataset.m + 1)
+
+
+def test_irls_exit_adds_no_warnings():
+    # alpha = 0 puts every measurement vector in one hyperplane: each
+    # subproblem is non-unique and no group can span.  The exit refuses such
+    # a partition before its refit and leaves the warning registry alone, so
+    # a solve with k warns exactly as often as one without
+    dataset, _ = gen_sim1(Sim1Config(k=3, d=4, n_per_class=16, alpha=0.0, seed=1))
+    for k in (None, 3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            irls_solve(dataset, k=k)
+        categories = [w.category for w in caught]
+        assert categories.count(NonUniqueSolutionWarning) == 1, (k, categories)
+        assert UnderdeterminedFitWarning not in categories, (k, categories)
+
+
+@st.composite
+def _certifying_instances(draw):
+    d = draw(st.integers(3, 6))
+    n = 2 * draw(st.integers(d, 2 * d))
+    alpha = draw(st.floats(0.02, 0.3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return d, n, alpha, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certifying_instances())
+def test_irls_certified_exit_symmetries(instance):
+    # the certified field is the program's unique minimizer, so a rotation
+    # of the features, a rescaling of each row, a row permutation and a
+    # rescaling of the responses map it exactly and certify at the same solve
+    d, n, alpha, seed = instance
+    dataset, _ = gen_sim1(Sim1Config(k=3, d=d, n_per_class=n, alpha=alpha, seed=seed))
+    opts = SolverOptions(stop_tol=1e-8)
+    Z, trace = irls_solve(dataset, opts, k=3)
+    assume(trace.stop_reason == "certified")
+
+    A, b, m = dataset.features, dataset.responses, dataset.m
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    s = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-1.0, 1.0, m)
+    perm = rng.permutation(m)
+    c = 10.0 ** rng.uniform(-6.0, 6.0)
+    variants = {
+        "rotation": (A @ Q.T, b, Z.z @ Q.T),
+        "row scale": (s[:, None] * A, s * b, Z.z),
+        "permutation": (A[perm], b[perm], Z.z[perm]),
+        "response scale": (A, c * b, c * Z.z),
+    }
+    for name, (feats, resp, mapped) in variants.items():
+        Zv, tv = irls_solve(Dataset(feats, resp), opts, k=3)
+        assert tv.stop_reason == "certified", name
+        assert tv.iterations == trace.iterations, name
+        rel = np.linalg.norm(Zv.z - mapped) / np.linalg.norm(mapped)
+        assert rel <= 1e-12, (name, rel)
 
 
 def _reference_irls(ds, opts):
