@@ -266,12 +266,12 @@ _COMMANDS = {
     "fit": _cmd_fit,
     "phase": _cmd_phase,
 }
+_PARSER = build_parser()  # parse_args leaves it unchanged, so one serves every call
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

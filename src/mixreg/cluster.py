@@ -146,24 +146,30 @@ def refit_regression(dataset: Dataset, labels) -> RefitResult:
     Rank-deficient classes get the minimum-norm solution and raise
     :class:`UnderdeterminedFitWarning`.
     """
-    labeled = Dataset(dataset.features, dataset.responses, labels)
+    refit, ranks = _refit(Dataset(dataset.features, dataset.responses, labels))
+    for p in np.flatnonzero(ranks < dataset.d):
+        warnings.warn(
+            f"class {p} is underdetermined (rank {ranks[p]} < {dataset.d}); "
+            "returning the minimum-norm coefficients",
+            UnderdeterminedFitWarning,
+        )
+    return refit
+
+
+def _refit(labeled: Dataset) -> tuple[RefitResult, np.ndarray]:
+    """:func:`refit_regression` of a labeled dataset without its warnings;
+    also returns each class's least-squares rank."""
     k = labeled.num_classes
-    betas = np.zeros((k, dataset.d))
+    betas = np.zeros((k, labeled.d))
     residuals = np.zeros(k)
+    ranks = np.zeros(k, dtype=np.int64)
     for p in range(k):
         members = labeled.class_members(p)
-        A = dataset.features[members]
-        b = dataset.responses[members]
-        beta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        if rank < dataset.d:
-            warnings.warn(
-                f"class {p} is underdetermined (rank {rank} < {dataset.d}); "
-                "returning the minimum-norm coefficients",
-                UnderdeterminedFitWarning,
-            )
-        betas[p] = beta
-        residuals[p] = float(np.max(np.abs(A @ beta - b)))
-    return RefitResult(betas_hat=betas, per_class_residual=residuals)
+        A = labeled.features[members]
+        b = labeled.responses[members]
+        betas[p], _, ranks[p], _ = np.linalg.lstsq(A, b, rcond=None)
+        residuals[p] = float(np.max(np.abs(A @ betas[p] - b)))
+    return RefitResult(betas_hat=betas, per_class_residual=residuals), ranks
 
 
 def match_labels(predicted, truth, k: int) -> tuple[tuple[int, ...], float]:

@@ -81,14 +81,14 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import certificate
-from .cluster import kmeans, refit_regression
+from .cluster import _refit, kmeans
 from .errors import (
     DataValidationError,
     MixregError,
     NonUniqueSolutionWarning,
     NumericalError,
 )
-from .geometry import _class_spans, _spans, orthonormal_complement_bases
+from .geometry import _spans, orthonormal_complement_bases
 from .model import (
     Dataset,
     EstimateField,
@@ -508,16 +508,13 @@ def _feasibility_gap(rows: _Rows, z) -> float | None:
 
 def _certified_field(rows: _Rows, z: np.ndarray, k: int) -> tuple[np.ndarray, float] | None:
     """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
-    with its largest constraint gap, if every group's rows span the space,
-    that field is feasible and the closed-form certificate proves it the
-    program's unique minimizer; ``None`` otherwise.  A group whose rows do
-    not span cannot certify, so it is refused before its refit."""
+    made without warnings, with its largest constraint gap, if that field
+    is feasible and the closed-form certificate (span check included)
+    proves it the program's unique minimizer; ``None`` otherwise."""
     try:
         labels = kmeans(z, k, restarts=1, seed=0).labels
         labeled = Dataset(rows.features, rows.responses, labels)
-        if not np.all(_class_spans(labeled, labeled.num_classes)):
-            return None
-        betas = refit_regression(labeled, labels).betas_hat
+        betas = _refit(labeled)[0].betas_hat
         snapped = betas[labels]
         gap = _feasibility_gap(rows, snapped)
         if gap is None:

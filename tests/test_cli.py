@@ -332,3 +332,21 @@ def test_parser_builds_with_library_names_wrapped(monkeypatch):
     phase = parser.parse_args(["phase", "--mode", "aperture", "-o", "p"])
     assert phase.workers == inspect.signature(run_phase).parameters["workers"].default
 
+
+def test_main_parses_with_the_parser_built_at_import(
+    tmp_path, capsys, monkeypatch, two_lines_path
+):
+    # main never builds a parser, and a usage error between two fits leaves
+    # the shared parser as it found it
+    from mixreg import cli
+
+    def no_build():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["fit", str(two_lines_path), "--k", "2", "-o", str(first)]) == 0
+    assert main(["fit", str(two_lines_path), "-o", str(tmp_path / "x.json")]) == 1
+    assert "--k" in capsys.readouterr().err
+    assert main(["fit", str(two_lines_path), "--k", "2", "-o", str(second)]) == 0
+    assert first.read_text() == second.read_text()

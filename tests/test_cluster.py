@@ -280,6 +280,19 @@ def test_refit_underdetermined_min_norm():
     with pytest.warns(UnderdeterminedFitWarning):
         result = refit_regression(ds, np.array([0]))
     assert np.allclose(result.betas_hat[0], [1.0, 0.0], atol=1e-12)
+    # classes 0 and 1 have rank 1 and class 2 has full rank: one warning per
+    # rank-deficient class, in class order
+    feats = np.array([[1.0, 1.0], [1.0, 0.0], [2.0, 2.0], [0.0, 1.0], [1.0, -1.0]])
+    ds = Dataset(feats, np.array([2.0, 3.0, 4.0, 5.0, 0.0]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = refit_regression(ds, np.array([1, 0, 1, 2, 2]))
+    assert [w.category for w in caught] == [UnderdeterminedFitWarning] * 2
+    assert [str(w.message) for w in caught] == [
+        f"class {p} is underdetermined (rank 1 < 2); returning the minimum-norm coefficients"
+        for p in (0, 1)
+    ]
+    assert np.allclose(result.betas_hat, [[3.0, 0.0], [1.0, 1.0], [5.0, 5.0]], atol=1e-12)
 
 
 def test_match_labels_basic():

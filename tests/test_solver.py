@@ -503,9 +503,10 @@ def test_irls_exit_needs_k_at_least_two(sim1_instance, monkeypatch):
 
 def test_irls_exit_adds_no_warnings():
     # alpha = 0 puts every measurement vector in one hyperplane: each
-    # subproblem is non-unique and no group can span.  The exit refuses such
-    # a partition before its refit and leaves the warning registry alone, so
-    # a solve with k warns exactly as often as one without
+    # subproblem is non-unique and no group can span.  The exit refits such a
+    # partition without warnings, the certificate's span check refuses it,
+    # and the warning registry is left alone, so a solve with k warns exactly
+    # as often as one without
     dataset, _ = gen_sim1(Sim1Config(k=3, d=4, n_per_class=16, alpha=0.0, seed=1))
     for k in (None, 3):
         with warnings.catch_warnings(record=True) as caught:
@@ -514,6 +515,25 @@ def test_irls_exit_adds_no_warnings():
         categories = [w.category for w in caught]
         assert categories.count(NonUniqueSolutionWarning) == 1, (k, categories)
         assert UnderdeterminedFitWarning not in categories, (k, categories)
+
+
+def test_irls_certified_exit_spans_each_group_once(monkeypatch):
+    # the certificate's span check is the exit's only one: a solve certified
+    # at its first solve makes one span SVD per group
+    import mixreg.geometry as geometry_mod
+
+    spanned = []
+    spans = geometry_mod._spans
+
+    def counted(A, *args, **kwargs):
+        spanned.append(A.shape)
+        return spans(A, *args, **kwargs)
+
+    monkeypatch.setattr(geometry_mod, "_spans", counted)
+    dataset, _ = gen_sim1(Sim1Config(k=3, d=5, n_per_class=16, alpha=0.1, seed=7))
+    _, trace = irls_solve(dataset, k=3)
+    assert trace.stop_reason == "certified" and trace.iterations == 1
+    assert len(spanned) == 3, spanned
 
 
 @st.composite
