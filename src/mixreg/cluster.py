@@ -131,6 +131,8 @@ def kmeans(points, k: int, restarts: int = 20, seed: int = 0) -> ClusteringResul
         raise DataValidationError(f"k must be in [1, {m}], got {k}")
     if restarts < 1:
         raise DataValidationError("restarts must be at least 1")
+    if seed < 0:
+        raise DataValidationError("seed must be nonnegative")
     streams = (np.random.SeedSequence(entropy=seed, spawn_key=(r,)) for r in range(restarts))
     seeds = [_plusplus_seeds(points, k, np.random.default_rng(s)) for s in streams]
     # min keeps the first of equal inertias: ties go to the lowest restart

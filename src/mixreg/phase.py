@@ -10,9 +10,9 @@ fixed threshold ``SUCCESS_TOL = 1e-5``.
 
 Each trial's seed is a pure function of (base_seed, d, sweep index, trial
 index), so trials can run in any order and in any process and the grid
-reproduces exactly.  ``run_phase`` hands trials out one at a time from a
+reproduces exactly.  ``run_phase`` hands trials out one at a time from one
 shared counter to the calling process and to ``workers - 1`` child
-processes.
+processes, so one worker runs every trial here, through the same counter.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,16 +40,21 @@ __all__ = [
     "write_grid_pgm",
 ]
 
-APERTURE_RANGE = (0.0, SIM1_ALPHA_MAX)
-IMBALANCE_RANGE = (0.0, SIM2_TAU_MAX)
+_RANGES = {"aperture": (0.0, SIM1_ALPHA_MAX), "imbalance": (0.0, SIM2_TAU_MAX)}
 DEFAULT_SWEEP_POINTS = 16
 DEFAULT_D_VALUES = tuple(range(3, 16))
 # A trial succeeds when its normalized recovery error is below this.
 SUCCESS_TOL = 1e-5
 
 
+def _sweep_range(mode: str) -> tuple[float, float]:
+    if mode not in _RANGES:
+        raise DataValidationError("mode must be 'aperture' or 'imbalance'")
+    return _RANGES[mode]
+
+
 def default_sweep(mode: str) -> tuple[float, ...]:
-    lo, hi = APERTURE_RANGE if mode == "aperture" else IMBALANCE_RANGE
+    lo, hi = _sweep_range(mode)
     return tuple(float(v) for v in np.linspace(lo, hi, DEFAULT_SWEEP_POINTS))
 
 
@@ -64,14 +68,16 @@ class PhaseConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.mode not in ("aperture", "imbalance"):
-            raise DataValidationError("mode must be 'aperture' or 'imbalance'")
+        lo, hi = _sweep_range(self.mode)
         object.__setattr__(self, "d_values", tuple(int(d) for d in self.d_values))
         sweep = self.sweep_values or default_sweep(self.mode)
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in sweep))
+        if not self.d_values:
+            raise DataValidationError("d_values must name at least one dimension")
         if self.trials < 1:
             raise DataValidationError("trials must be at least 1")
-        lo, hi = APERTURE_RANGE if self.mode == "aperture" else IMBALANCE_RANGE
+        if self.base_seed < 0:
+            raise DataValidationError("base_seed must be nonnegative")
         bad = [v for v in self.sweep_values if not lo <= v <= hi]
         if bad:
             raise DataValidationError(f"sweep value {bad[0]} outside [{lo}, {hi}]")
@@ -185,28 +191,25 @@ def _run_trial(cfg: PhaseConfig, d: int, sweep_index: int, trial_index: int) -> 
         )
 
 
-def _run_share(cfg: PhaseConfig, trials: list, take) -> dict[int, TrialRecord]:
-    """Run ``trials[i]`` for each index ``take()`` returns, until one is past
-    the end; this process's share of the grid, keyed by index."""
+def _run_share(cfg: PhaseConfig, trials: list, counter) -> dict[int, TrialRecord]:
+    """Run ``trials[i]`` for each index taken from ``counter``, until one is
+    past the end; this process's share of the grid, keyed by index."""
     done = {}
-    while (i := take()) < len(trials):
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(trials):
+            return done
         di, si, t = trials[i]
         done[i] = _run_trial(cfg, cfg.d_values[di], si, t)
-    return done
-
-
-def _take(counter) -> int:
-    with counter.get_lock():
-        i = counter.value
-        counter.value = i + 1
-    return i
 
 
 def _child(cfg: PhaseConfig, trials: list, counter, send) -> None:
     """A child process's loop: sends its share, or the exception that ended
     it, back once."""
     try:
-        result = _run_share(cfg, trials, partial(_take, counter))
+        result = _run_share(cfg, trials, counter)
     except Exception as exc:
         with counter.get_lock():
             counter.value = len(trials)  # the others stop after their trial
@@ -227,7 +230,7 @@ def _run_shared(cfg: PhaseConfig, trials: list, workers: int) -> dict[int, Trial
             child.start()
             send.close()  # the child holds the only write end: its exit means EOF
             children.append((child, receive))
-        done = _run_share(cfg, trials, partial(_take, counter))
+        done = _run_share(cfg, trials, counter)
         for child, receive in children:
             try:
                 result = receive.recv()
@@ -258,19 +261,16 @@ def run_phase(cfg: PhaseConfig, workers: int = 1) -> PhaseGrid:
     ``workers`` counts the processes that run trials, this one included: it
     must be at least 1 and is capped at the number of cells, and
     ``workers - 1`` children are started.  Trials are handed out one at a
-    time, so a process that finishes early takes the next one.  With one
-    process no child is started.  Any other exception in a child is
-    re-raised here, and no child outlives the call.
+    time from one shared counter, so a process that finishes early takes
+    the next one.  With one process no child is started, and this process
+    takes every trial from the same counter.  Any other exception, in this
+    process or a child, is re-raised here, and no child outlives the call.
     """
     if workers < 1:
         raise DataValidationError("workers must be at least 1")
     n_d, n_s, n_t = len(cfg.d_values), len(cfg.sweep_values), cfg.trials
     trials = list(itertools.product(range(n_d), range(n_s), range(n_t)))
-    workers = min(workers, n_d * n_s)
-    if workers > 1:
-        done = _run_shared(cfg, trials, workers)
-    else:
-        done = _run_share(cfg, trials, itertools.count().__next__)
+    done = _run_shared(cfg, trials, min(workers, n_d * n_s))
     # trials are in (d, sweep value, trial) order: n_t per cell, n_s cells per d
     cells = [tuple(done[i] for i in range(j, j + n_t)) for j in range(0, len(trials), n_t)]
     records = tuple(tuple(cells[i : i + n_s]) for i in range(0, len(cells), n_s))

@@ -57,6 +57,8 @@ def fit_pipeline(
     """
     if restarts < 1:  # checked up front: a certified solve skips k-means
         raise DataValidationError("restarts must be at least 1")
+    if seed < 0:  # likewise
+        raise DataValidationError("seed must be nonnegative")
     estimates, trace = irls_solve(dataset, opts, k=k)
     if trace.stop_reason == "certified":
         # one distinct row per class; numpy 2.0.0 returned the inverse as 2-D

@@ -56,11 +56,14 @@ class Sim1Config:
             raise DataValidationError("n_per_class must be even (mirrored halves)")
         if not 0.0 <= self.alpha <= SIM1_ALPHA_MAX:
             raise DataValidationError(f"alpha must lie in [0, {SIM1_ALPHA_MAX}]")
+        if self.seed < 0:
+            raise DataValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
 class Sim2Config:
-    """Imbalance ensemble: k = 3, n_per_class = 4 d, aperture 0.2, shift tau."""
+    """Imbalance ensemble in dimension d with class-three shift tau; fixed
+    k = 3 classes of 4 d points each and aperture 0.2 (``SIM2_ALPHA``)."""
 
     d: int
     tau: float
@@ -71,23 +74,23 @@ class Sim2Config:
             raise DataValidationError("imbalance ensemble requires d >= 3")
         if not 0.0 <= self.tau <= SIM2_TAU_MAX:
             raise DataValidationError(f"tau must lie in [0, {SIM2_TAU_MAX}]")
-
-    @property
-    def k(self) -> int:
-        return 3
-
-    @property
-    def n_per_class(self) -> int:
-        return 4 * self.d
-
-    @property
-    def alpha(self) -> float:
-        return SIM2_ALPHA
+        if self.seed < 0:
+            raise DataValidationError("seed must be nonnegative")
 
 
 def _class_rng(seed: int, class_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(class_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _gaussian(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """A standard normal vector of length ``dim >= 1`` and its nonzero norm."""
+    g = rng.standard_normal(dim)
+    norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
+    while norm == 0.0:  # probability zero, but keep the sample well defined
+        g = rng.standard_normal(dim)
+        norm = math.sqrt(g.dot(g))
+    return g, norm
 
 
 def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -96,11 +99,7 @@ def sample_ball(dim: int, radius: float, rng: np.random.Generator) -> np.ndarray
         raise DataValidationError("dimension and radius must be nonnegative")
     if dim == 0:
         return np.zeros(0)
-    g = rng.standard_normal(dim)
-    norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a vector
-    while norm == 0.0:  # probability zero, but keep the sample well defined
-        g = rng.standard_normal(dim)
-        norm = math.sqrt(g.dot(g))
+    g, norm = _gaussian(dim, rng)
     r = radius * rng.random() ** (1.0 / dim)  # rng.uniform() is 0 + 1 * random()
     return (r / norm) * g
 
@@ -111,54 +110,42 @@ def sample_sphere(dim: int, radius: float, rng: np.random.Generator) -> np.ndarr
         raise DataValidationError("sphere sampling requires dim >= 1")
     if radius < 0:
         raise DataValidationError("radius must be nonnegative")
-    g = rng.standard_normal(dim)
-    norm = math.sqrt(g.dot(g))
-    while norm == 0.0:
-        g = rng.standard_normal(dim)
-        norm = math.sqrt(g.dot(g))
+    g, norm = _gaussian(dim, rng)
     return (radius / norm) * g
 
 
-def _standard_model(k: int, d: int, n_per_class: int) -> MixtureModel:
-    betas = np.eye(d)[:k]
-    return MixtureModel(betas, np.full(k, n_per_class))
-
-
-def _mirrored_rows(vhat: np.ndarray, Q: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    shifts = xs @ Q.T
-    return np.vstack([vhat + shifts, vhat - shifts])
-
-
-def _generate(cfg, tau: float | None = None) -> tuple[Dataset, MixtureModel]:
-    """Mirrored classes for either config; with ``tau``, class three is
-    shifted by one shared sphere sample of that radius."""
-    model = _standard_model(cfg.k, cfg.d, cfg.n_per_class)
-    half = cfg.n_per_class // 2
+def _generate(
+    k: int, d: int, n_per_class: int, alpha: float, seed: int, tau: float | None = None
+) -> tuple[Dataset, MixtureModel]:
+    """``k`` mirrored classes of ``n_per_class`` points of aperture ``alpha``;
+    with ``tau``, class three is shifted by one sphere sample of that radius."""
+    model = MixtureModel(np.eye(d)[:k], np.full(k, n_per_class))
     features = []
     directions = weighted_directions(model)
     for p, (v, Q) in enumerate(zip(directions, orthonormal_complement_bases(directions))):
-        rng = _class_rng(cfg.seed, p)
+        rng = _class_rng(seed, p)
         vhat = v / np.linalg.norm(v)
-        xs = np.stack([sample_ball(cfg.d - 1, cfg.alpha, rng) for _ in range(half)])
-        rows = _mirrored_rows(vhat, Q, xs)
+        xs = np.stack([sample_ball(d - 1, alpha, rng) for _ in range(n_per_class // 2)])
+        shifts = xs @ Q.T
+        rows = np.vstack([vhat + shifts, vhat - shifts])
         if p == 2 and tau is not None:
-            w = sample_sphere(cfg.d - 1, tau, rng)
+            w = sample_sphere(d - 1, tau, rng)
             rows = rows + Q @ w
             # the shift is orthogonal to v, so no projection sign can flip
             assert np.all(rows @ v > 0.0)
         features.append(rows)
     feats = np.vstack(features)
-    labels = np.repeat(np.arange(cfg.k), cfg.n_per_class)
+    labels = np.repeat(np.arange(k), n_per_class)
     responses = np.einsum("ij,ij->i", feats, model.betas[labels])
     return Dataset(feats, responses, labels), model
 
 
 def gen_sim1(cfg: Sim1Config) -> tuple[Dataset, MixtureModel]:
     """Generate the aperture ensemble; balanced by construction."""
-    return _generate(cfg)
+    return _generate(cfg.k, cfg.d, cfg.n_per_class, cfg.alpha, cfg.seed)
 
 
 def gen_sim2(cfg: Sim2Config) -> tuple[Dataset, MixtureModel]:
     """Generate the imbalance ensemble; class three is shifted by one shared
     sphere sample so its balance residual equals ``tau`` exactly."""
-    return _generate(cfg, cfg.tau)
+    return _generate(3, cfg.d, 4 * cfg.d, SIM2_ALPHA, cfg.seed, cfg.tau)

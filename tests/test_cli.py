@@ -288,6 +288,23 @@ def test_fit_rejects_zero_restarts(tmp_path, capsys, two_lines_path):
     assert not out.exists()
 
 
+def test_negative_seeds_are_data_errors(tmp_path, capsys, two_lines_path):
+    # two_lines certifies, so fit's k-means would never see the seed
+    commands = [
+        (["gen", "--sim", "1", "--d", "4"], tmp_path / "g.csv"),
+        (["gen", "--sim", "2", "--d", "4"], tmp_path / "g2.csv"),
+        (["phase", "--mode", "aperture", "--d", "3", "--values", "0.1", "--trials", "1"],
+         tmp_path / "p"),
+        (["fit", str(two_lines_path), "--k", "2"], tmp_path / "f.json"),
+    ]
+    for argv, out in commands:
+        assert main([*argv, "--seed", "-1", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "seed must be nonnegative" in err
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parser_defaults_are_the_library_defaults():
     parser = build_parser()
     solve = parser.parse_args(["solve", "x.csv", "-o", "y.csv"])

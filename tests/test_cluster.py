@@ -203,6 +203,8 @@ def test_kmeans_validation():
         kmeans(np.zeros((0, 2)), 1)
     with pytest.raises(DataValidationError):
         kmeans(pts, 1, restarts=0)
+    with pytest.raises(DataValidationError, match="seed must be nonnegative"):
+        kmeans(pts, 1, seed=-3)
 
 
 def test_kmeans_rejects_non_finite_points():

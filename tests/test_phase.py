@@ -46,6 +46,8 @@ def test_default_sweeps():
     assert alphas[0] == 0.0 and alphas[-1] == 0.75
     taus = default_sweep("imbalance")
     assert taus[0] == 0.0 and taus[-1] == pytest.approx(0.062)
+    with pytest.raises(DataValidationError, match="mode must be"):
+        default_sweep("bogus")
 
 
 def test_config_validation():
@@ -57,6 +59,10 @@ def test_config_validation():
         _tiny_cfg(trials=0)
     with pytest.raises(DataValidationError):
         _tiny_cfg(d_values=(2,))
+    with pytest.raises(DataValidationError, match="at least one dimension"):
+        _tiny_cfg(d_values=())
+    with pytest.raises(DataValidationError, match="base_seed must be nonnegative"):
+        _tiny_cfg(base_seed=-1)
 
 
 def test_small_grid_recovers():
@@ -198,6 +204,23 @@ def test_workers_validated_and_capped_at_cell_count(monkeypatch):
     assert _CountingProcess.started == 1  # this process and one child
     assert one_cell.fractions.tolist() == [[1.0]]
     assert two_cells.fractions.tolist() == [[1.0, 1.0]]
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_reraises_from_its_own_share(monkeypatch):
+    monkeypatch.setattr(_CountingProcess, "started", 0)
+    monkeypatch.setattr(_CONTEXT, "Process", _CountingProcess)
+    run_trial = phase_mod._run_trial
+
+    def raise_on_one_trial(cfg, d, si, t):
+        if (si, t) == (1, 1):
+            raise RuntimeError("trial boom")
+        return run_trial(cfg, d, si, t)
+
+    monkeypatch.setattr(phase_mod, "_run_trial", raise_on_one_trial)
+    with pytest.raises(RuntimeError, match="trial boom"):
+        run_phase(_tiny_cfg(sweep_values=(0.1, 0.2), trials=3), workers=1)
+    assert _CountingProcess.started == 0
     assert multiprocessing.active_children() == []
 
 

@@ -33,6 +33,17 @@ def test_fit_pipeline_rejects_restarts_before_solving(monkeypatch, two_lines_pat
         fit_pipeline(load_csv(two_lines_path), k=2, restarts=0)
 
 
+def test_fit_pipeline_rejects_a_negative_seed_before_solving(monkeypatch, two_lines_path):
+    import mixreg.pipeline as pipeline_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve reached: the seed was not rejected up front")
+
+    monkeypatch.setattr(pipeline_mod, "irls_solve", no_solve)
+    with pytest.raises(DataValidationError, match="seed must be nonnegative"):
+        fit_pipeline(load_csv(two_lines_path), k=2, seed=-1)
+
+
 def test_fit_pipeline_single_class():
     from mixreg.model import Dataset
 

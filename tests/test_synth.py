@@ -109,6 +109,8 @@ def test_gen_sim1_validation():
         Sim1Config(k=2, d=3, n_per_class=4, alpha=0.8, seed=0)  # alpha range
     with pytest.raises(DataValidationError):
         Sim1Config(k=1, d=3, n_per_class=4, alpha=0.1, seed=0)
+    with pytest.raises(DataValidationError, match="seed must be nonnegative"):
+        Sim1Config(k=3, d=4, n_per_class=4, alpha=0.1, seed=-1)
 
 
 def test_gen_sim2_contracts():
@@ -138,3 +140,5 @@ def test_gen_sim2_validation():
         Sim2Config(d=2, tau=0.0, seed=0)
     with pytest.raises(DataValidationError):
         Sim2Config(d=5, tau=0.07, seed=0)
+    with pytest.raises(DataValidationError, match="seed must be nonnegative"):
+        Sim2Config(d=4, tau=0.0, seed=-1)
