@@ -31,7 +31,6 @@ from .errors import (
     DataValidationError,
     DegenerateModelError,
     MixregError,
-    NumericalError,
 )
 from .geometry import check_conditions
 from .model import MixtureModel, feasibility_residual
@@ -279,11 +278,8 @@ def main(argv=None) -> int:
     except (DataValidationError, DegenerateModelError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, CertificateUndefinedError) as exc:
+    except MixregError as exc:  # NumericalError; certify handles its own kind
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except MixregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

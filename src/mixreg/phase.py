@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +70,20 @@ class PhaseConfig:
 
     def __post_init__(self):
         lo, hi = _sweep_range(self.mode)
+        if not all(isinstance(d, Integral) for d in self.d_values):
+            raise DataValidationError("d_values must be integers")
         object.__setattr__(self, "d_values", tuple(int(d) for d in self.d_values))
         sweep = self.sweep_values or default_sweep(self.mode)
         object.__setattr__(self, "sweep_values", tuple(float(v) for v in sweep))
         if not self.d_values:
             raise DataValidationError("d_values must name at least one dimension")
-        if self.trials < 1:
-            raise DataValidationError("trials must be at least 1")
-        if self.base_seed < 0:
-            raise DataValidationError("base_seed must be nonnegative")
+        if not isinstance(self.trials, Integral) or self.trials < 1:
+            raise DataValidationError("trials must be at least 1 and an integer")
+        if not isinstance(self.base_seed, Integral) or self.base_seed < 0:
+            raise DataValidationError("base_seed must be nonnegative and an integer")
+        # numpy integers are accepted; the grid's JSON needs Python ints
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "base_seed", int(self.base_seed))
         bad = [v for v in self.sweep_values if not lo <= v <= hi]
         if bad:
             raise DataValidationError(f"sweep value {bad[0]} outside [{lo}, {hi}]")

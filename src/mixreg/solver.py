@@ -65,7 +65,7 @@ solutions are returned or recorded, and the step rule compares each solve
 with the field whose weights it used.
 
 When the caller knows the number of classes ``k``, the loop also tries a
-certified exit at solves 1, 2, 4, 8, ...: it clusters the iterate into
+certified exit once, after the first solve: it clusters that field into
 ``k`` groups, refits one regression per group, and returns the refit field
 ``z_i = beta_hat[label_i]`` if it is feasible and the closed-form dual
 certificate proves it the program's unique minimizer.
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -125,8 +126,8 @@ class SolverOptions:
     stop_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DataValidationError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise DataValidationError("max_iter must be at least 1 and an integer")
         if not self.stop_tol > 0:
             raise DataValidationError("stop_tol must be positive")
 
@@ -566,7 +567,7 @@ def irls_solve(
     field and history entry is a subproblem solution; the step is the
     distance from a solve's result to the field whose weights it used.
 
-    With ``k >= 2`` the solves t = 1, 2, 4, 8, ... are also clustered into
+    With ``k >= 2`` the first solve, and only it, is also clustered into
     ``k`` groups and refit; a refit field that the closed-form dual
     certificate proves optimal is returned at once.  Without ``k`` (or with
     ``k = 1``) only the step rule and the cap stop the loop; a ``k`` outside
@@ -592,7 +593,6 @@ def irls_solve(
     stop_reason = "cap"
     max_feas = 0.0
     extrapolations = 0
-    next_exit = 1 if k is not None and k >= 2 else None  # doubles after each try
     for t in range(1, opts.max_iter + 1):
         z, gap = _weighted_ls(rows, w)
         w, objective = _reweight(z, DELTA)  # next weights, this objective
@@ -603,8 +603,7 @@ def irls_solve(
         if base is not None:
             step_norm = np.linalg.norm(z - base)
             step = float(step_norm / np.sqrt(dataset.m))
-        if t == next_exit:
-            next_exit *= 2
+        if t == 1 and k is not None and k >= 2:
             certified = _certified_field(rows, z, k)
             if certified is not None:
                 z, certified_gap = certified

@@ -244,6 +244,13 @@ def test_verify_rejects_mismatched_inputs(sim1_instance):
     )
     with pytest.raises(DataValidationError):
         verify_certificate(cert, relabeled, other_model)
+    # the same labels in another dimension
+    narrower, narrower_model = gen_sim1(
+        Sim1Config(k=3, d=4, n_per_class=16, alpha=0.1, seed=7)
+    )
+    assert np.array_equal(narrower.labels, dataset.labels)
+    with pytest.raises(DataValidationError, match="size does not match"):
+        verify_certificate(cert, narrower, narrower_model)
 
 
 @st.composite

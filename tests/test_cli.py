@@ -6,6 +6,7 @@ import pytest
 
 from mixreg.cli import _solver_options, _UsageError, build_parser, main
 from mixreg.dataio import load_csv, preprocess_center_scale
+from mixreg.errors import NumericalError
 from mixreg.phase import PhaseConfig, run_phase
 from mixreg.pipeline import fit_pipeline
 from mixreg.solver import SolverOptions
@@ -71,6 +72,13 @@ def test_cli_exit_codes(tmp_path):
         "phase", "--mode", "aperture", "--d", "3", "--values", "0.1",
         "--workers", "0", "-o", str(tmp_path / "grid"),
     ]) == 2
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("a_1,a_2,b\n1.0,0.0,1.0\n0.0,1.0,1.0\n")
+    betas = tmp_path / "betas.json"
+    betas.write_text(json.dumps({"betas": [[1.0, 0.0], [0.0, 1.0]]}))
+    verdict = tmp_path / "verdict.json"
+    assert main(["certify", str(unlabeled), "--betas", str(betas), "-o", str(verdict)]) == 2
+    assert not verdict.exists()
 
 
 def test_gen_refuses_flags_of_the_other_ensemble(tmp_path, capsys):
@@ -275,6 +283,20 @@ def test_solve_rejects_estimates_whose_distances_overflow(tmp_path, capsys):
     assert main(["solve", str(data), "-o", str(out), "--trace-out", str(trace)]) == 2
     assert "estimates are too far apart" in capsys.readouterr().err
     assert not out.exists() and not trace.exists()
+
+
+def test_solve_reports_a_numerical_failure(tmp_path, capsys, monkeypatch, two_lines_path):
+    import mixreg.cli as cli_mod
+
+    def breaks_down(*args, **kwargs):
+        raise NumericalError("reduced KKT system too ill-conditioned")
+
+    monkeypatch.setattr(cli_mod, "irls_solve", breaks_down)
+    out, trace = tmp_path / "z.csv", tmp_path / "trace.json"
+    assert main(["solve", str(two_lines_path), "-o", str(out), "--trace-out", str(trace)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_rejects_zero_restarts(tmp_path, capsys, two_lines_path):

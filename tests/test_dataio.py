@@ -15,7 +15,7 @@ from mixreg.synth import Sim1Config, gen_sim1
 
 def test_load_small_file(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text("a_1,a_2,b\n1.0,0.0,2.5\n0.5,-1.0,0.25\n")
+    path.write_text("a_1,a_2,b\n1.0,0.0,2.5\n\n0.5,-1.0,0.25\n")  # blank line skipped
     ds = load_csv(path)
     assert ds.m == 2 and ds.d == 2
     assert ds.labels is None
@@ -54,11 +54,22 @@ def test_load_rejects_bad_values(tmp_path):
     path.write_text("a_1,b,label\n1.0,1.0,0\n")
     with pytest.raises(DataValidationError, match="1-based"):
         load_csv(path)
+    path.write_text("a_1,b,label\n1.0,1.0,1.5\n")
+    with pytest.raises(DataValidationError, match=":2: label must be an integer"):
+        load_csv(path)
+    path.write_text("")
+    with pytest.raises(DataValidationError, match="empty file"):
+        load_csv(path)
+    path.write_text("a_1,b\n")
+    with pytest.raises(DataValidationError, match="no data rows"):
+        load_csv(path)
 
 
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataValidationError, match="no such file"):
         load_csv(tmp_path / "absent.csv")
+    with pytest.raises(DataValidationError, match="no such file"):
+        load_betas(tmp_path / "absent.json")
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -81,6 +92,9 @@ def test_betas_round_trip(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     with pytest.raises(DataValidationError):
+        load_betas(bad)
+    bad.write_text('{"betas": [1.0, 0.0]}')
+    with pytest.raises(DataValidationError, match="k x d matrix"):
         load_betas(bad)
 
 

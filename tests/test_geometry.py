@@ -258,3 +258,9 @@ def test_check_conditions_input_errors(sim1_instance):
     wrong_sizes = MixtureModel(model.betas, np.array([15, 17, 16]))
     with pytest.raises(DataValidationError):
         check_conditions(dataset, wrong_sizes)
+    two_classes = MixtureModel(model.betas[:2], np.array([16, 16]))
+    with pytest.raises(DataValidationError, match="model has 2"):
+        check_conditions(dataset, two_classes)
+    wider = MixtureModel(np.hstack([model.betas, np.zeros((3, 1))]), model.sizes)
+    with pytest.raises(DataValidationError, match="model dimension"):
+        check_conditions(dataset, wider)

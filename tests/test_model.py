@@ -21,6 +21,15 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, np.inf]]), np.array([1.0]))
     with pytest.raises(DataValidationError):
         Dataset(np.array([[1.0, 0.0]]), np.array([1.0, 2.0]))
+    with pytest.raises(DataValidationError, match="m x d matrix"):
+        Dataset(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    with pytest.raises(DataValidationError, match="one entry per row"):
+        Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]), np.array([0]))
+    unlabeled = Dataset(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(DataValidationError, match="no labels"):
+        unlabeled.num_classes
+    with pytest.raises(DataValidationError, match="no labels"):
+        unlabeled.class_members(0)
     # labels must cover every class up to their maximum
     with pytest.raises(DataValidationError):
         Dataset(
@@ -41,6 +50,10 @@ def test_mixture_model_validation():
         MixtureModel(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([2, 2]))
     with pytest.raises(DataValidationError):
         MixtureModel(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([2, 0]))
+    with pytest.raises(DataValidationError, match="k x d matrix"):
+        MixtureModel(np.array([1.0, 0.0]), np.array([2]))
+    with pytest.raises(DataValidationError, match="non-finite"):
+        MixtureModel(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([2, 2]))
 
 
 def test_candidate_solution_single_class():
@@ -80,6 +93,9 @@ def test_candidate_solution_errors(sim1_instance):
     small_model = MixtureModel(model.betas[:2], model.sizes[:2])
     with pytest.raises(DataValidationError):
         candidate_solution(dataset, small_model)
+    narrow_model = MixtureModel(model.betas[:, :-1], model.sizes)
+    with pytest.raises(DataValidationError, match="model dimension"):
+        candidate_solution(dataset, narrow_model)
 
 
 def test_objective_trivial_cases():

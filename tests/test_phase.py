@@ -63,6 +63,16 @@ def test_config_validation():
         _tiny_cfg(d_values=())
     with pytest.raises(DataValidationError, match="base_seed must be nonnegative"):
         _tiny_cfg(base_seed=-1)
+    # counts must be integers: a float is refused, never truncated
+    with pytest.raises(DataValidationError, match="trials must be at least 1 and an integer"):
+        _tiny_cfg(trials=1.5)
+    with pytest.raises(DataValidationError, match="base_seed must be nonnegative and an integer"):
+        _tiny_cfg(base_seed=1.5)
+    with pytest.raises(DataValidationError, match="d_values must be integers"):
+        _tiny_cfg(d_values=(3.7,))
+    numpy_counts = _tiny_cfg(d_values=np.array([3]), trials=np.int64(2), base_seed=np.int32(1))
+    assert numpy_counts == _tiny_cfg(d_values=(3,), trials=2, base_seed=1)
+    assert type(numpy_counts.trials) is int and type(numpy_counts.d_values[0]) is int
 
 
 def test_small_grid_recovers():

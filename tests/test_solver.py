@@ -64,6 +64,9 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(DataValidationError):
         SolverOptions(stop_tol=-1.0)
+    with pytest.raises(DataValidationError, match="max_iter must be at least 1 and an integer"):
+        SolverOptions(max_iter=2.5)
+    assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_weight_matrix_validation():
@@ -73,6 +76,10 @@ def test_weight_matrix_validation():
         WeightMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(DataValidationError):
         WeightMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(DataValidationError, match="square"):
+        WeightMatrix(np.zeros((2, 3)))
+    with pytest.raises(DataValidationError, match="non-finite"):
+        WeightMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]))
     uniform = _uniform_weights(3)  # kept as given, read-only
     assert np.array_equal(uniform.w, np.ones((3, 3)) - np.eye(3))
     assert not uniform.w.flags.writeable
@@ -467,17 +474,30 @@ def test_irls_certified_exit_matches_plain_solve(criterion1_runs, criterion4_run
         assert objective(estimate) <= objective(rec["estimate"]) + 1e-9 * dataset.m**2
 
 
-def test_irls_exit_leaves_uncertified_solve_unchanged():
+def test_irls_exit_leaves_uncertified_solve_unchanged(monkeypatch):
     # criterion-3 cell d=4, tau=0.02: the closed-form certificate cannot
-    # certify an imbalanced labeling, so every attempt fails and the loop
-    # must run exactly as without k
+    # certify an imbalanced labeling, so the one attempt, after the first
+    # solve, fails and the loop must run exactly as without k
+    import mixreg.solver as solver_mod
     from mixreg.phase import trial_seed
     from mixreg.synth import Sim2Config, gen_sim2
 
+    attempts = []
+    certified_field = solver_mod._certified_field
+
+    def counted(*args, **kwargs):
+        attempts.append(args[1].copy())
+        return certified_field(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_certified_field", counted)
     dataset, model = gen_sim2(Sim2Config(d=4, tau=0.02, seed=trial_seed(1, 4, 1, 0)))
     plain, plain_trace = irls_solve(dataset)
+    assert attempts == []
     tried, tried_trace = irls_solve(dataset, k=model.k)
     assert tried_trace.stop_reason != "certified"
+    assert tried_trace.iterations > 2 and len(attempts) == 1
+    first, _ = irls_solve(dataset, SolverOptions(max_iter=1))
+    assert np.array_equal(attempts[0], first.z)
     assert tried_trace.stop_reason == plain_trace.stop_reason
     assert np.array_equal(tried.z, plain.z)
     assert tried_trace.iterations == plain_trace.iterations

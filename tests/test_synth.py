@@ -20,6 +20,9 @@ def test_sample_ball_basics():
     rng = np.random.default_rng(0)
     assert np.array_equal(sample_ball(3, 0.0, rng), np.zeros(3))
     assert sample_ball(0, 1.0, rng).shape == (0,)
+    for dim, radius in ((-1, 1.0), (3, -0.1)):
+        with pytest.raises(DataValidationError, match="must be nonnegative"):
+            sample_ball(dim, radius, rng)
     samples = np.stack([sample_ball(4, 0.3, rng) for _ in range(1000)])
     assert np.all(np.linalg.norm(samples, axis=1) <= 0.3 + 1e-15)
 
@@ -39,6 +42,8 @@ def test_sample_sphere_basics():
         assert np.linalg.norm(w) == pytest.approx(0.7, abs=1e-12)
     with pytest.raises(DataValidationError):
         sample_sphere(0, 1.0, rng)
+    with pytest.raises(DataValidationError, match="radius must be nonnegative"):
+        sample_sphere(3, -0.1, rng)
 
 
 def test_sample_sphere_angle_uniformity():
