@@ -4,8 +4,8 @@ Subcommands: ``gen`` (synthetic datasets), ``solve`` (fusion solve),
 ``certify`` (condition checks plus dual certificate), ``fit`` (solve,
 cluster, refit), and ``phase`` (recovery-fraction grids).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
-certificate failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a file that cannot be
+read or written included), 3 numerical or certificate failure.
 """
 
 from __future__ import annotations
@@ -181,6 +181,11 @@ def _cmd_certify(args) -> int:
     if dataset.labels is None:
         raise DataValidationError("certify requires a label column")
     betas = load_betas(args.betas)
+    if betas.shape[0] != dataset.num_classes:
+        raise DataValidationError(
+            f"{args.betas} holds {betas.shape[0]} betas but the labels of "
+            f"{args.data} name {dataset.num_classes} classes"
+        )
     model = MixtureModel(betas, dataset.class_sizes())
     conditions = check_conditions(dataset, model)
     payload: dict = {"conditions": conditions.to_dict()}
@@ -277,6 +282,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DataValidationError, DegenerateModelError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:  # a file that cannot be opened, read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MixregError as exc:  # NumericalError; certify handles its own kind
         print(f"numerical failure: {exc}", file=sys.stderr)

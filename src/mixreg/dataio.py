@@ -1,14 +1,17 @@
 """CSV and JSON persistence.
 
-The data format is a UTF-8 CSV with header ``a_1,...,a_d,b`` plus an
-optional trailing ``label`` column.  Labels are 1-based on disk and 0-based
-in memory.  Floats are written with ``repr`` so a write/load round trip is
-bit-identical.  Written lines end in LF; CRLF files load the same.
+The data format is a UTF-8 CSV, optionally starting with a byte-order
+mark, with header ``a_1,...,a_d,b`` plus an optional trailing ``label``
+column.  Labels are 1-based on disk and 0-based in memory.  Floats are
+written with ``repr`` so a write/load round trip is bit-identical.  Written
+files are UTF-8 (in fact ASCII) and their lines end in LF; CRLF files load
+the same.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -40,6 +43,14 @@ def _parse_float(text: str, path, line: int, col: str) -> float:
     return value
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, decoded as UTF-8 with an optional byte-order mark."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_csv(path) -> Dataset:
     """Load a dataset, validating the header, widths, and every entry.
 
@@ -48,7 +59,7 @@ def load_csv(path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"no such file: {path}")
-    with path.open(newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -92,6 +103,13 @@ def load_csv(path) -> Dataset:
                 labels.append(lab - 1)
         if not feats:
             raise DataValidationError(f"{path}: no data rows")
+        if has_label:
+            missing = set(range(max(labels) + 1)).difference(labels)
+            if missing:  # named as the file numbers it, not by the 0-based class
+                raise DataValidationError(
+                    f"{path}: no row has label {min(missing) + 1}; labels must "
+                    f"use every value from 1 to {max(labels) + 1}"
+                )
     return Dataset(
         np.array(feats), np.array(resp), np.array(labels) if has_label else None
     )
@@ -104,7 +122,9 @@ def _write_table(path, names, values, labels=None) -> None:
     if labels is not None:
         names = [*names, "label"]
         rows = [[*row, str(int(lab) + 1)] for row, lab in zip(rows, labels)]
-    Path(path).write_text("".join(",".join(row) + "\n" for row in [names, *rows]))
+    Path(path).write_text(
+        "".join(",".join(row) + "\n" for row in [names, *rows]), encoding="utf-8"
+    )
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -121,10 +141,10 @@ def load_betas(path) -> np.ndarray:
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"no such file: {path}")
-    try:
-        payload = json.loads(path.read_text())
-        betas = np.array(payload["betas"], dtype=float)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    text = _read_text(path)
+    try:  # a JSONDecodeError is a ValueError
+        betas = np.array(json.loads(text)["betas"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: cannot read betas: {exc}") from None
     if betas.ndim != 2:
         raise DataValidationError(f"{path}: betas must be a k x d matrix")
@@ -132,7 +152,7 @@ def load_betas(path) -> np.ndarray:
 
 
 def write_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def preprocess_center_scale(dataset: Dataset, alpha: float, column: int) -> Dataset:

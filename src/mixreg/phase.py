@@ -292,7 +292,7 @@ def write_grid_csv(grid: PhaseGrid, path) -> None:
         for si, v in enumerate(cfg.sweep_values):
             n = int(successes[di, si])
             lines.append(f"{d},{float(v)!r},{n / cfg.trials!r},{n},{cfg.trials}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_grid_pgm(grid: PhaseGrid, path) -> None:
@@ -307,4 +307,6 @@ def write_grid_pgm(grid: PhaseGrid, path) -> None:
         rows.append(
             " ".join(str(int(round(255 * fractions[di, si]))) for di in range(width))
         )
-    Path(path).write_text(f"P2\n{width} {height}\n255\n" + "\n".join(rows) + "\n")
+    Path(path).write_text(
+        f"P2\n{width} {height}\n255\n" + "\n".join(rows) + "\n", encoding="utf-8"
+    )

@@ -21,8 +21,9 @@ whether the subproblem is unique and what the solves observe:
   translation.  ``L^+`` comes from one Cholesky factor of
   ``L + (s/m) 11^T``.  The multiplier block ``S11 = (1/2) (L^+ o G)``, with
   ``G`` the Gram matrix of the measurement vectors, is positive definite
-  whenever the graph is connected and the vectors span the space (Schur
-  product theorem: no ``x != 0`` makes every ``x_i a_i`` the same vector),
+  whenever the vectors span the space, because every weight is positive and
+  the graph complete (Schur product theorem: no ``x != 0`` makes every
+  ``x_i a_i`` the same vector),
   so the bordered system is solved through Cholesky factors of ``S11`` and
   of its d x d Schur complement ``A^T S11^-1 A``, each checked against the
   condition-estimate floor ``RCOND_MIN = 1e-14``, and refined once
@@ -44,9 +45,10 @@ null-space result that misses them raises :class:`NumericalError`.  With
 d = 1, ``S11`` is singular, the floor rejects it and the null-space solve
 pins each row.
 
-Degenerate subproblems (disconnected weight graph, or measurement vectors
-that do not span the full space) have multiple minimizers; they go straight
-to the null-space solve, which returns the minimum-norm one, along with a
+Every pair weight is positive, so every weight graph is complete and the
+one degenerate case is measurement vectors that do not span the full space.
+Such a subproblem has multiple minimizers; it goes straight to the
+null-space solve, which returns the minimum-norm one, along with a
 :class:`NonUniqueSolutionWarning`.
 
 The alternation S (reweight from a field, then solve the subproblem) is a
@@ -174,7 +176,8 @@ class SolveTrace:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric nonnegative pair weights with a zero diagonal."""
+    """Symmetric pair weights, positive off a zero diagonal: every pair of
+    points is coupled, as in the program's objective."""
 
     w: np.ndarray
 
@@ -184,12 +187,12 @@ class WeightMatrix:
             raise DataValidationError("weights must be a square matrix")
         if not np.all(np.isfinite(w)):
             raise DataValidationError("weights contain non-finite values")
-        if np.any(w < 0):
-            raise DataValidationError("weights must be nonnegative")
         if not np.array_equal(w, w.T):
             raise DataValidationError("weights must be symmetric")
         if np.any(np.diag(w) != 0.0):
             raise DataValidationError("weight diagonal must be zero")
+        if np.count_nonzero(w > 0) != w.size - w.shape[0]:
+            raise DataValidationError("weights must be positive off the diagonal")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
@@ -236,16 +239,6 @@ def update_weights(Z, delta: float) -> WeightMatrix:
 def smoothed_objective(Z, delta: float) -> float:
     """``sum_{i != j} sqrt(||z_i - z_j||^2 + delta)`` (self-pairs excluded)."""
     return _reweight(_as_matrix(Z), delta)[1]
-
-
-def _connected(w: np.ndarray) -> bool:
-    m = w.shape[0]
-    if np.count_nonzero(w) == m * (m - 1):  # complete, as every IRLS weight graph is
-        return True
-    # imported here: scipy.sparse is not loaded at package import
-    from scipy.sparse.csgraph import connected_components
-
-    return connected_components(w, directed=False, return_labels=False) == 1
 
 
 def _cholesky_solver(M: np.ndarray, name: str):
@@ -380,18 +373,19 @@ def _solve_reduced_kkt(features, responses, L, gram):
     return z, -(lam + dlam)
 
 
-def _solve_null_space(rows: _Rows, L, unique: bool):
+def _solve_null_space(rows: _Rows, L):
     """Null-space solve of the subproblem (Nocedal & Wright, §16.2).
 
     Each row is written as ``z_i = z0_i + B_i y_i``, with ``z0_i`` the point
     of hyperplane i closest to the origin and ``B_i`` an orthonormal basis of
     the complement of ``a_i``, so every ``y`` is feasible and the objective
     ``2 tr(Z^T L Z)`` becomes ``(1/2) y^T H y + g^T y + const`` with
-    ``H = 4 [L_ij B_i^T B_j]`` and ``g_i = 4 B_i^T (L z0)_i``.  For a
-    ``unique`` subproblem ``H`` is positive definite; it is factored by
-    Cholesky, checked against ``RCOND_MIN`` and refined once.  Otherwise
-    ``H`` is singular and its least-squares solve picks the minimum-norm
-    minimizer.  For d = 1 each constraint pins its row: ``z = z0``.
+    ``H = 4 [L_ij B_i^T B_j]`` and ``g_i = 4 B_i^T (L z0)_i``.  When the
+    features span the space (``rows.span_full``) ``H`` is positive definite;
+    it is factored by Cholesky, checked against ``RCOND_MIN`` and refined
+    once.  Otherwise ``H`` is singular and its least-squares solve picks the
+    minimum-norm minimizer.  For d = 1 each constraint pins its row:
+    ``z = z0``.
     """
     features = rows.features
     m, d = features.shape
@@ -405,7 +399,7 @@ def _solve_null_space(rows: _Rows, L, unique: bool):
     blocks = H.reshape(m, nd, m, nd)
     blocks *= 4.0 * L[:, None, :, None]
     g = 4.0 * np.einsum("ijk,ij->ik", B, L @ z0).ravel()
-    if unique:
+    if rows.span_full:
         solve = _cholesky_solver(H, "null-space")
         y = solve(-g)
         y = y + solve(-g - H @ y)  # one refinement step
@@ -447,9 +441,9 @@ def _refuse_overflow(z: np.ndarray) -> None:
 def weighted_ls_step(dataset: Dataset, weights: WeightMatrix) -> EstimateField:
     """Exact minimizer of the weighted quadratic under the row constraints.
 
-    Non-unique subproblems (disconnected weight graph or rank-deficient
-    measurement span) return the minimum-norm minimizer and emit
-    :class:`NonUniqueSolutionWarning`.
+    The subproblem is non-unique exactly when the measurement vectors do not
+    span the full space; it then returns the minimum-norm minimizer and
+    emits :class:`NonUniqueSolutionWarning`.
     """
     if weights.m != dataset.m:
         raise DataValidationError("weight matrix size does not match dataset")
@@ -461,10 +455,8 @@ def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
     of matching size, supplied by the caller.  Returns the minimizer and its
     largest constraint gap ``max_i |a_i^T z_i - b_i|``."""
     L = _laplacian(w)
-    connected = _connected(w)
-    unique = connected and rows.span_full
     z = None
-    if unique:  # the reduced solve first, kept if it passes the guard
+    if rows.span_full:  # the reduced solve first, kept if it passes the guard
         try:
             z, nu = _solve_reduced_kkt(rows.features, rows.responses, L, rows.gram)
         except NumericalError:
@@ -476,13 +468,11 @@ def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
     else:
         warnings.warn(
             "measurement vectors do not span the full space; subproblem is "
-            "non-unique, returning the minimum-norm minimizer"
-            if connected
-            else "weight graph is disconnected; returning the minimum-norm minimizer",
+            "non-unique, returning the minimum-norm minimizer",
             NonUniqueSolutionWarning,
         )
     if z is None:
-        z = _project_rows(_solve_null_space(rows, L, unique), rows)
+        z = _project_rows(_solve_null_space(rows, L), rows)
         nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
         defect = _stationarity_defect(L, z, nu, rows)
         if not np.isfinite(defect):

@@ -59,7 +59,7 @@ def test_gen_solve_certify_fit_round_trip(tmp_path):
     assert len(label_lines) == 49
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # usage error
     assert main(["phase"]) == 1
     assert main(["gen", "--sim", "3", "--d", "4", "-o", "x.csv"]) == 1
@@ -79,6 +79,32 @@ def test_cli_exit_codes(tmp_path):
     verdict = tmp_path / "verdict.json"
     assert main(["certify", str(unlabeled), "--betas", str(betas), "-o", str(verdict)]) == 2
     assert not verdict.exists()
+    # two betas for three labeled classes: both counts are named
+    labeled = tmp_path / "labeled.csv"
+    labeled.write_text("a_1,a_2,b,label\n1.0,0.0,1.0,1\n0.0,1.0,1.0,2\n1.0,1.0,1.0,3\n")
+    capsys.readouterr()
+    assert main(["certify", str(labeled), "--betas", str(betas), "-o", str(verdict)]) == 2
+    err = capsys.readouterr().err
+    assert "holds 2 betas but the labels of" in err and "name 3 classes" in err
+    betas.write_text("[1, 2]")  # valid JSON, but not a model
+    assert main(["certify", str(labeled), "--betas", str(betas)]) == 2
+    assert "cannot read betas" in capsys.readouterr().err
+    assert not verdict.exists()
+
+
+def test_files_that_cannot_be_opened_exit_2(tmp_path, capsys, two_lines_path):
+    missing = tmp_path / "missing" / "out"
+    runs = [
+        ["solve", str(tmp_path), "-o", str(tmp_path / "z.csv")],  # a directory
+        ["solve", str(two_lines_path), "-o", str(missing)],
+        ["fit", str(two_lines_path), "--k", "2", "-o", str(missing)],
+        ["gen", "--sim", "1", "--d", "3", "-o", str(missing)],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_gen_refuses_flags_of_the_other_ensemble(tmp_path, capsys):

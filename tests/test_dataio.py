@@ -57,12 +57,27 @@ def test_load_rejects_bad_values(tmp_path):
     path.write_text("a_1,b,label\n1.0,1.0,1.5\n")
     with pytest.raises(DataValidationError, match=":2: label must be an integer"):
         load_csv(path)
+    path.write_text("a_1,b,label\n1.0,1.0,1\n2.0,1.0,3\n")  # the file's label 2 is unused
+    with pytest.raises(DataValidationError, match="no row has label 2;"):
+        load_csv(path)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(DataValidationError, match=f"{path.name}: not UTF-8 text"):
+        load_csv(path)
     path.write_text("")
     with pytest.raises(DataValidationError, match="empty file"):
         load_csv(path)
     path.write_text("a_1,b\n")
     with pytest.raises(DataValidationError, match="no data rows"):
         load_csv(path)
+
+
+def test_load_accepts_a_byte_order_mark(tmp_path, two_lines_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + two_lines_path.read_bytes())
+    loaded, original = load_csv(bom), load_csv(two_lines_path)
+    assert np.array_equal(loaded.features, original.features)
+    assert np.array_equal(loaded.responses, original.responses)
+    assert np.array_equal(loaded.labels, original.labels)
 
 
 def test_load_missing_file(tmp_path):
@@ -96,6 +111,10 @@ def test_betas_round_trip(tmp_path):
     bad.write_text('{"betas": [1.0, 0.0]}')
     with pytest.raises(DataValidationError, match="k x d matrix"):
         load_betas(bad)
+    for payload in ("[1, 2]", '{"betas": {"a": 1}}'):
+        bad.write_text(payload)
+        with pytest.raises(DataValidationError, match=f"{bad.name}: cannot read betas"):
+            load_betas(bad)
 
 
 def test_preprocess_center_scale():

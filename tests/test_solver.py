@@ -24,7 +24,6 @@ from mixreg.solver import (
     SolverOptions,
     WeightMatrix,
     _bordered_solver,
-    _connected,
     _laplacian,
     _laplacian_pinv,
     _pairwise_sq_dists,
@@ -72,8 +71,14 @@ def test_solver_options_validation():
 def test_weight_matrix_validation():
     with pytest.raises(DataValidationError):
         WeightMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(DataValidationError):
+    positive = "weights must be positive off the diagonal"
+    with pytest.raises(DataValidationError, match=positive):
         WeightMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(DataValidationError, match=positive):
+        WeightMatrix(np.zeros((2, 2)))
+    path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(DataValidationError, match=positive):  # connected, not complete
+        WeightMatrix(path)
     with pytest.raises(DataValidationError):
         WeightMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(DataValidationError, match="square"):
@@ -96,6 +101,9 @@ def test_update_weights_values():
     assert update_weights(z, 1e-16).w[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     with pytest.raises(DataValidationError):
         update_weights(z, 0.0)
+    # distances that overflow would give zero weights, which are refused
+    with pytest.raises(DataValidationError, match="positive off the diagonal"):
+        update_weights(np.array([[0.0], [1e200]]), 1e-16)
 
 
 def test_smoothed_objective_limits():
@@ -294,9 +302,10 @@ def test_null_space_least_squares_matches_cholesky_on_unique_subproblems(system)
     rng = np.random.default_rng(seed)
     rows = _rows(_random_instance(rng, m, d))
     L = _laplacian(_random_weights(rng, m).w)
+    assert rows.span_full
     fields = []
-    for unique in (True, False):
-        z = _project_rows(_solve_null_space(rows, L, unique), rows)
+    for solve_rows in (rows, rows._replace(span_full=False)):  # Cholesky, then lstsq
+        z = _project_rows(_solve_null_space(solve_rows, L), rows)
         nu = -np.einsum("ij,ij->i", rows.features, 2.0 * (L @ z)) / rows.sq_norms
         assert _stationarity_defect(L, z, nu, rows) <= SUBPROBLEM_TOL
         fields.append(z)
@@ -332,27 +341,6 @@ def test_weighted_ls_step_permutation_and_weight_scale_invariance(instance):
 
     scaled = weighted_ls_step(ds, WeightMatrix(scale * w.w)).z
     assert np.linalg.norm(scaled - Z) <= tol
-
-
-def test_weighted_ls_step_disconnected_graph_min_norm():
-    ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
-    w = WeightMatrix(np.zeros((2, 2)))
-    with pytest.warns(NonUniqueSolutionWarning):
-        Z = weighted_ls_step(ds, w)
-    # with no coupling, each row is the closest point to the origin
-    assert np.allclose(Z.z, np.eye(2), atol=1e-12)
-
-
-def test_connected_on_graphs_with_edges():
-    # {0, 1, 2} joined as a path and {3, 4}: the search from node 0 follows
-    # its edges and still finds a second component
-    w = np.zeros((5, 5))
-    for i, j in [(0, 1), (1, 2), (3, 4)]:
-        w[i, j] = w[j, i] = 1.0
-    assert _connected(w) is False
-    w[2, 3] = w[3, 2] = 0.5
-    assert _connected(w) is True
-    assert _connected(_uniform_weights(4).w) is True
 
 
 def test_weighted_ls_step_span_deficient_min_norm():
@@ -664,9 +652,9 @@ def test_irls_matches_public_building_blocks_exactly(case, monkeypatch):
     unique_flags = []  # one per null-space solve; a unique one is a fallback
     null_space = solver_mod._solve_null_space
 
-    def counted(rows, L, unique):
-        unique_flags.append(unique)
-        return null_space(rows, L, unique)
+    def counted(rows, L):
+        unique_flags.append(rows.span_full)
+        return null_space(rows, L)
 
     monkeypatch.setattr(solver_mod, "_solve_null_space", counted)
     (Z, trace), warned = _nonunique_warnings(lambda: irls_solve(ds, opts))
