@@ -11,7 +11,10 @@ read or written included), 3 numerical or certificate failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import inspect
+import os
 import sys
 
 import numpy as np
@@ -45,9 +48,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-# Keyword defaults read once at import, before anything can rebind these
-# module names (a tracer may swap them for bare ``*args, **kwargs`` wrappers).
-_FIT = inspect.signature(fit_pipeline).parameters
+# Keyword defaults read once at import, before anything can rebind this
+# module name (a tracer may swap it for a bare ``*args, **kwargs`` wrapper).
 _RUN_PHASE = inspect.signature(run_phase).parameters
 
 
@@ -112,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="report JSON path")
     p.add_argument("--labels-out", default=None, help="labels CSV path")
     p.add_argument("--estimates-out", default=None, help="per-point estimates CSV")
-    p.add_argument("--restarts", type=int, default=_FIT["restarts"].default)
-    p.add_argument("--seed", type=int, default=_FIT["seed"].default)
     p.add_argument("--center-column", type=int,
                    help="1-based feature column to center and rescale")
     p.add_argument("--center-alpha", type=float, default=1.0,
@@ -138,6 +138,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(*outputs) -> None:
+    """Write every output or none.
+
+    Each output is ``(target, write)``, with ``write(path)`` writing the
+    file at ``path``; a ``None`` target is an output not asked for.  Each
+    file is written under a fresh name beside its target and renamed onto
+    the target once every file is written.  A failure before the renames
+    removes the fresh files and leaves every target as it was; an error
+    names the target, not the fresh name.
+    """
+    staged = []  # (fresh path, target)
+    try:
+        for target, write in outputs:
+            if target is None:
+                continue
+            if os.path.isdir(target):  # as opening it for writing reports it
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            head, tail = os.path.split(target)
+            fresh = os.path.join(head, f".{tail}.{os.urandom(6).hex()}")
+            try:  # O_EXCL: never an existing file; 0o666: the mode open() gives
+                os.close(os.open(fresh, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, target) from None
+            staged.append((fresh, target))
+            write(fresh)
+        for fresh, target in staged:
+            os.replace(fresh, target)
+    except BaseException:
+        for fresh, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(fresh)
+        raise
+
+
 def _cmd_gen(args) -> int:
     foreign = [
         "--" + name.replace("_", "-")
@@ -154,9 +188,10 @@ def _cmd_gen(args) -> int:
     }
     gen, config = (gen_sim1, Sim1Config) if args.sim == 1 else (gen_sim2, Sim2Config)
     dataset, model = gen(config(d=args.d, seed=args.seed, **values))
-    save_csv(dataset, args.output)
-    if args.betas_out:
-        save_betas(model, args.betas_out)
+    _write_files(
+        (args.output, lambda path: save_csv(dataset, path)),
+        (args.betas_out, lambda path: save_betas(model, path)),
+    )
     print(f"wrote {dataset.m} rows (d={dataset.d}) to {args.output}")
     return EXIT_OK
 
@@ -164,9 +199,11 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     dataset = load_csv(args.data)
     estimates, trace = irls_solve(dataset, _solver_options(args))
-    _write_table(args.output, [f"z_{i + 1}" for i in range(dataset.d)], estimates.z)
-    if args.trace_out:
-        write_json(trace.to_dict(), args.trace_out)
+    names = [f"z_{i + 1}" for i in range(dataset.d)]
+    _write_files(
+        (args.output, lambda path: _write_table(path, names, estimates.z)),
+        (args.trace_out, lambda path: write_json(trace.to_dict(), path)),
+    )
     print(
         f"solved m={dataset.m} d={dataset.d}: iterations={trace.iterations} "
         f"converged={trace.converged} stop_reason={trace.stop_reason} "
@@ -186,6 +223,11 @@ def _cmd_certify(args) -> int:
             f"{args.betas} holds {betas.shape[0]} betas but the labels of "
             f"{args.data} name {dataset.num_classes} classes"
         )
+    if betas.shape[1] != dataset.d:
+        raise DataValidationError(
+            f"{args.betas} holds betas of width {betas.shape[1]} but "
+            f"{args.data} has {dataset.d} feature columns"
+        )
     model = MixtureModel(betas, dataset.class_sizes())
     conditions = check_conditions(dataset, model)
     payload: dict = {"conditions": conditions.to_dict()}
@@ -203,7 +245,7 @@ def _cmd_certify(args) -> int:
         }
         code = EXIT_NUMERIC
     if args.output:
-        write_json(payload, args.output)
+        _write_files((args.output, lambda path: write_json(payload, path)))
         if code == EXIT_OK:
             print(f"certifies: {payload['certificate']['certifies']}")
     else:  # stdout carries one JSON document, which holds the verdict
@@ -224,15 +266,15 @@ def _cmd_fit(args) -> int:
                 f"--center-column {column} is not a feature column (1..{dataset.d})"
             )
         dataset = preprocess_center_scale(dataset, args.center_alpha, column - 1)
-    report, estimates = fit_pipeline(
-        dataset, args.k, _solver_options(args), restarts=args.restarts, seed=args.seed
+    report, estimates = fit_pipeline(dataset, args.k, _solver_options(args))
+    names = [f"z_{i + 1}" for i in range(dataset.d)]
+    _write_files(
+        (args.output, lambda path: write_json(report.to_dict(), path)),
+        (args.labels_out,
+         lambda path: _write_table(path, [], np.empty((dataset.m, 0)), report.labels)),
+        (args.estimates_out,
+         lambda path: _write_table(path, names, estimates.z, report.labels)),
     )
-    write_json(report.to_dict(), args.output)
-    if args.labels_out:
-        _write_table(args.labels_out, [], np.empty((dataset.m, 0)), report.labels)
-    if args.estimates_out:
-        names = [f"z_{i + 1}" for i in range(dataset.d)]
-        _write_table(args.estimates_out, names, estimates.z, report.labels)
     print(
         f"fit k={args.k}: iterations={report.trace.iterations} "
         f"stop_reason={report.trace.stop_reason} "
@@ -252,9 +294,11 @@ def _cmd_phase(args) -> int:
     )
     grid = run_phase(cfg, workers=args.workers)
     prefix = args.output
-    write_grid_csv(grid, f"{prefix}.csv")
-    write_grid_pgm(grid, f"{prefix}.pgm")
-    write_json(grid.to_dict(), f"{prefix}.json")
+    _write_files(
+        (f"{prefix}.csv", lambda path: write_grid_csv(grid, path)),
+        (f"{prefix}.pgm", lambda path: write_grid_pgm(grid, path)),
+        (f"{prefix}.json", lambda path: write_json(grid.to_dict(), path)),
+    )
     print(
         f"phase {cfg.mode}: {len(cfg.d_values)} x {len(cfg.sweep_values)} cells, "
         f"mean fraction {float(grid.fractions.mean()):.3f}; "

@@ -130,7 +130,9 @@ def _targets(dataset: Dataset, model: MixtureModel) -> np.ndarray:
             f"labels describe {dataset.num_classes} classes, model has {model.k}"
         )
     if model.d != dataset.d:
-        raise DataValidationError("model dimension does not match dataset")
+        raise DataValidationError(
+            f"model dimension {model.d} does not match dataset dimension {dataset.d}"
+        )
     counts = dataset.class_sizes()
     if not np.array_equal(counts, model.sizes):
         raise DataValidationError(

@@ -164,7 +164,9 @@ def candidate_solution(dataset: Dataset, model: MixtureModel) -> EstimateField:
             f"labels use {dataset.num_classes} classes but model has {model.k}"
         )
     if model.d != dataset.d:
-        raise DataValidationError("model dimension does not match dataset")
+        raise DataValidationError(
+            f"model dimension {model.d} does not match dataset dimension {dataset.d}"
+        )
     return EstimateField(model.betas[dataset.labels])
 
 

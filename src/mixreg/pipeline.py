@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import RefitResult, kmeans, refit_regression
-from .errors import DataValidationError
 from .model import Dataset, EstimateField
 from .solver import SolveTrace, SolverOptions, irls_solve
 
@@ -45,27 +44,22 @@ def fit_pipeline(
     dataset: Dataset,
     k: int,
     opts: SolverOptions = SolverOptions(),
-    restarts: int = 20,
-    seed: int = 0,
 ) -> tuple[FitReport, EstimateField]:
     """Solve, cluster into ``k`` groups, and refit one model per group.
 
     The solve is given ``k``, so it may end early on a certified optimum
     (see :func:`mixreg.solver.irls_solve`); the labels then come from the
-    distinct rows of the certified field, one per class, with inertia 0,
-    instead of from k-means.
+    distinct rows of the certified field, one per class, with inertia 0.
+    Otherwise they come from :func:`mixreg.cluster.kmeans` with its own
+    default restarts and seed.
     """
-    if restarts < 1:  # checked up front: a certified solve skips k-means
-        raise DataValidationError("restarts must be at least 1")
-    if seed < 0:  # likewise
-        raise DataValidationError("seed must be nonnegative")
     estimates, trace = irls_solve(dataset, opts, k=k)
     if trace.stop_reason == "certified":
         # one distinct row per class; numpy 2.0.0 returned the inverse as 2-D
         _, inverse = np.unique(estimates.z, axis=0, return_inverse=True)
         labels, inertia = inverse.reshape(-1), 0.0
     else:
-        clustering = kmeans(estimates.z, k, restarts=restarts, seed=seed)
+        clustering = kmeans(estimates.z, k)
         labels, inertia = clustering.labels, clustering.inertia
     refit: RefitResult = refit_regression(dataset, labels)
     report = FitReport(

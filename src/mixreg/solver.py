@@ -25,10 +25,14 @@ whether the subproblem is unique and what the solves observe:
   the graph complete (Schur product theorem: no ``x != 0`` makes every
   ``x_i a_i`` the same vector),
   so the bordered system is solved through Cholesky factors of ``S11`` and
-  of its d x d Schur complement ``A^T S11^-1 A``, each checked against the
+  of its d x d Schur complement ``U^T S11^-1 U``, each checked against the
   condition-estimate floor ``RCOND_MIN = 1e-14``, and refined once
   (Nocedal & Wright, *Numerical Optimization*, §16.2; Higham, *Accuracy and
-  Stability of Numerical Algorithms*, ch. 12).
+  Stability of Numerical Algorithms*, ch. 12).  The border ``U`` comes from
+  the thin SVD ``A = U S V^T``, taken once per solve, and ``V S^-1`` maps
+  the translation back: bordered with ``A`` itself, the Schur complement
+  would carry the square of the features' condition number and break down
+  on near-flat features.
 * **Null-space solve.**  It answers every subproblem the reduced solve does
   not: a unique one whose reduced solve breaks down or misses the
   stationarity guard (fused points put weights near ``DELTA**-0.5`` beside
@@ -302,17 +306,28 @@ class _Rows(NamedTuple):
     norms: np.ndarray  # ||a_i||
     gram: np.ndarray  # features @ features.T
     span_full: bool  # whether the features span the space
+    # with the thin SVD features = U S V^T, when the features span: the
+    # reduced solve's border U and its map V S^-1 back to the translation
+    border: np.ndarray | None
+    unborder: np.ndarray | None
 
 
 def _rows(dataset: Dataset) -> _Rows:
     features = dataset.features
+    span_full = _spans(features, SPAN_RTOL)
+    border = unborder = None
+    if span_full:
+        border, svals, vt = np.linalg.svd(features, full_matrices=False)
+        unborder = vt.T / svals
     return _Rows(
         features,
         dataset.responses,
         np.einsum("ij,ij->i", features, features),
         np.linalg.norm(features, axis=1),
         features @ features.T,
-        _spans(features, SPAN_RTOL),
+        span_full,
+        border,
+        unborder,
     )
 
 
@@ -347,7 +362,7 @@ def _laplacian_pinv(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _solve_reduced_kkt(features, responses, L, gram):
+def _solve_reduced_kkt(rows: _Rows, L):
     """Solve in (m + d) unknowns via the Laplacian pseudoinverse.
 
     With ``lam`` the stationarity multipliers (2 L Z = diag(lam) A_rows) and
@@ -355,21 +370,25 @@ def _solve_reduced_kkt(features, responses, L, gram):
 
         [[(1/2) (L^+ o G), A_rows], [A_rows^T, 0]] [lam, c] = [b, 0]
 
-    where ``G = gram`` is the Gram matrix of the measurement vectors and
-    ``o`` the elementwise product.  The system is solved by
+    where ``G`` is the Gram matrix of the measurement vectors and ``o`` the
+    elementwise product.  With the thin SVD ``A_rows = U S V^T`` the border
+    is taken as ``U`` and the translation as ``c = V S^-1 c'``, an
+    equivalent system whose Schur complement does not inherit the
+    conditioning of near-flat features.  It is solved by
     :func:`_bordered_solver` and refined once against the full KKT residual.
     Returns ``(z, nu)`` with ``nu = -lam``.
     """
+    features, U = rows.features, rows.border
     Lp = _laplacian_pinv(L)
-    resolve = _bordered_solver(0.5 * (Lp * gram), features)
-    lam, c = resolve(responses, np.zeros(features.shape[1]))
-    z = 0.5 * (Lp @ (lam[:, None] * features)) + c[None, :]
+    resolve = _bordered_solver(0.5 * (Lp * rows.gram), U)
+    lam, c = resolve(rows.responses, np.zeros(U.shape[1]))
+    z = 0.5 * (Lp @ (lam[:, None] * features)) + (rows.unborder @ c)[None, :]
 
     stat_res = lam[:, None] * features - 2.0 * (L @ z)
-    feas_res = responses - np.einsum("ij,ij->i", features, z)
+    feas_res = rows.responses - np.einsum("ij,ij->i", features, z)
     top = feas_res - 0.5 * np.einsum("ij,ij->i", Lp @ stat_res, features)
-    dlam, dc = resolve(top, -features.T @ lam)
-    z += 0.5 * (Lp @ ((dlam[:, None] * features) + stat_res)) + dc[None, :]
+    dlam, dc = resolve(top, -U.T @ lam)
+    z += 0.5 * (Lp @ ((dlam[:, None] * features) + stat_res)) + (rows.unborder @ dc)[None, :]
     return z, -(lam + dlam)
 
 
@@ -458,7 +477,7 @@ def _weighted_ls(rows: _Rows, w) -> tuple[np.ndarray, float]:
     z = None
     if rows.span_full:  # the reduced solve first, kept if it passes the guard
         try:
-            z, nu = _solve_reduced_kkt(rows.features, rows.responses, L, rows.gram)
+            z, nu = _solve_reduced_kkt(rows, L)
         except NumericalError:
             pass
         else:
@@ -563,10 +582,10 @@ def irls_solve(
     ``k = 1``) only the step rule and the cap stop the loop; a ``k`` outside
     ``[1, m]`` raises :class:`DataValidationError` before any solve.
 
-    The feature span, Gram matrix and row norms are computed once per solve,
-    and each solve makes one distance pass that yields both its objective
-    and the next weights; the weights, built here, skip
-    :class:`WeightMatrix` validation.
+    The feature span, Gram matrix, row norms and reduced-solve border are
+    computed once per solve, and each solve makes one distance pass that
+    yields both its objective and the next weights; the weights, built
+    here, skip :class:`WeightMatrix` validation.
 
     Non-convergence is reported through ``trace.converged``, not raised.
     A solve whose squared distances or squared row norms overflow

@@ -86,6 +86,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["certify", str(labeled), "--betas", str(betas), "-o", str(verdict)]) == 2
     err = capsys.readouterr().err
     assert "holds 2 betas but the labels of" in err and "name 3 classes" in err
+    # three betas one column short: the file and both widths are named
+    betas.write_text(json.dumps({"betas": [[1.0], [0.0], [2.0]]}))
+    assert main(["certify", str(labeled), "--betas", str(betas), "-o", str(verdict)]) == 2
+    err = capsys.readouterr().err
+    assert f"{betas} holds betas of width 1 but {labeled} has 2 feature columns" in err
     betas.write_text("[1, 2]")  # valid JSON, but not a model
     assert main(["certify", str(labeled), "--betas", str(betas)]) == 2
     assert "cannot read betas" in capsys.readouterr().err
@@ -105,6 +110,29 @@ def test_files_that_cannot_be_opened_exit_2(tmp_path, capsys, two_lines_path):
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+def test_a_failed_command_writes_no_file(tmp_path, capsys, two_lines_path):
+    # the first output could be written, a later one cannot: no output is
+    # written, and a file already at the first path is left as it was
+    report = tmp_path / "f.json"
+    report.write_text("earlier\n")
+    missing = tmp_path / "missing" / "l.csv"
+    assert main([
+        "fit", str(two_lines_path), "--k", "2", "-o", str(report),
+        "--labels-out", str(missing),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err == f"file error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert report.read_text() == "earlier\n"
+    (tmp_path / "p.json").mkdir()  # phase writes .csv and .pgm before .json
+    assert main([
+        "phase", "--mode", "aperture", "--d", "3", "--values", "0.1",
+        "--trials", "1", "-o", str(tmp_path / "p"),
+    ]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "p.json"]
+    assert list((tmp_path / "p.json").iterdir()) == []
 
 
 def test_gen_refuses_flags_of_the_other_ensemble(tmp_path, capsys):
@@ -325,25 +353,23 @@ def test_solve_reports_a_numerical_failure(tmp_path, capsys, monkeypatch, two_li
     assert list(tmp_path.iterdir()) == []
 
 
-def test_fit_rejects_zero_restarts(tmp_path, capsys, two_lines_path):
-    # two_lines certifies, so without an up-front check k-means would never
-    # see restarts = 0 and the run would succeed
+def test_fit_has_no_kmeans_flags(tmp_path, capsys, two_lines_path):
+    # k-means runs with its own defaults; its restarts and seed are not flags
     out = tmp_path / "fit.json"
-    assert main([
-        "fit", str(two_lines_path), "--k", "2", "--restarts", "0", "-o", str(out),
-    ]) == 2
-    assert "restarts must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
+    for flag in (["--restarts", "5"], ["--seed", "1"]):
+        assert main(["fit", str(two_lines_path), "--k", "2", *flag, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_negative_seeds_are_data_errors(tmp_path, capsys, two_lines_path):
-    # two_lines certifies, so fit's k-means would never see the seed
+def test_negative_seeds_are_data_errors(tmp_path, capsys):
     commands = [
         (["gen", "--sim", "1", "--d", "4"], tmp_path / "g.csv"),
         (["gen", "--sim", "2", "--d", "4"], tmp_path / "g2.csv"),
         (["phase", "--mode", "aperture", "--d", "3", "--values", "0.1", "--trials", "1"],
          tmp_path / "p"),
-        (["fit", str(two_lines_path), "--k", "2"], tmp_path / "f.json"),
     ]
     for argv, out in commands:
         assert main([*argv, "--seed", "-1", "-o", str(out)]) == 2
@@ -360,9 +386,6 @@ def test_parser_defaults_are_the_library_defaults():
 
     fit = parser.parse_args(["fit", "x.csv", "--k", "2", "-o", "f.json"])
     assert _solver_options(fit) == SolverOptions()
-    params = inspect.signature(fit_pipeline).parameters
-    for name in ("restarts", "seed"):
-        assert getattr(fit, name) == params[name].default
     assert fit.center_column is None and fit.center_alpha == 1.0
 
     phase = parser.parse_args(["phase", "--mode", "imbalance", "-o", "p"])
@@ -389,11 +412,8 @@ def test_parser_builds_with_library_names_wrapped(monkeypatch):
     def wrapper(*args, **kwargs):
         raise AssertionError("not called")
 
-    monkeypatch.setattr(cli, "fit_pipeline", wrapper)
     monkeypatch.setattr(cli, "run_phase", wrapper)
     parser = build_parser()
-    fit = parser.parse_args(["fit", "x.csv", "--k", "2", "-o", "f.json"])
-    assert fit.restarts == inspect.signature(fit_pipeline).parameters["restarts"].default
     phase = parser.parse_args(["phase", "--mode", "aperture", "-o", "p"])
     assert phase.workers == inspect.signature(run_phase).parameters["workers"].default
 

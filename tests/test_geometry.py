@@ -262,5 +262,8 @@ def test_check_conditions_input_errors(sim1_instance):
     with pytest.raises(DataValidationError, match="model has 2"):
         check_conditions(dataset, two_classes)
     wider = MixtureModel(np.hstack([model.betas, np.zeros((3, 1))]), model.sizes)
-    with pytest.raises(DataValidationError, match="model dimension"):
+    with pytest.raises(
+        DataValidationError,
+        match=f"model dimension {dataset.d + 1} does not match dataset dimension {dataset.d}",
+    ):
         check_conditions(dataset, wider)

@@ -94,7 +94,10 @@ def test_candidate_solution_errors(sim1_instance):
     with pytest.raises(DataValidationError):
         candidate_solution(dataset, small_model)
     narrow_model = MixtureModel(model.betas[:, :-1], model.sizes)
-    with pytest.raises(DataValidationError, match="model dimension"):
+    with pytest.raises(
+        DataValidationError,
+        match=f"model dimension {dataset.d - 1} does not match dataset dimension {dataset.d}",
+    ):
         candidate_solution(dataset, narrow_model)
 
 

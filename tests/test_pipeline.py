@@ -1,16 +1,14 @@
 import numpy as np
-import pytest
 
 from mixreg.cluster import match_labels
 from mixreg.dataio import load_betas, load_csv
-from mixreg.errors import DataValidationError
 from mixreg.pipeline import fit_pipeline
 
 
 def test_fit_pipeline_on_two_line_fixture(two_lines_path, two_lines_betas_path):
     dataset = load_csv(two_lines_path)
     betas = load_betas(two_lines_betas_path)
-    report, estimates = fit_pipeline(dataset, k=2, seed=0)
+    report, estimates = fit_pipeline(dataset, k=2)
     perm, acc = match_labels(report.labels, dataset.labels, 2)
     assert acc == 1.0
     for p in range(2):
@@ -22,28 +20,6 @@ def test_fit_pipeline_on_two_line_fixture(two_lines_path, two_lines_betas_path):
     assert min(payload["labels"]) >= 1  # serialized labels are 1-based
 
 
-def test_fit_pipeline_rejects_restarts_before_solving(monkeypatch, two_lines_path):
-    import mixreg.pipeline as pipeline_mod
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve reached: restarts was not rejected up front")
-
-    monkeypatch.setattr(pipeline_mod, "irls_solve", no_solve)
-    with pytest.raises(DataValidationError, match="restarts"):
-        fit_pipeline(load_csv(two_lines_path), k=2, restarts=0)
-
-
-def test_fit_pipeline_rejects_a_negative_seed_before_solving(monkeypatch, two_lines_path):
-    import mixreg.pipeline as pipeline_mod
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solve reached: the seed was not rejected up front")
-
-    monkeypatch.setattr(pipeline_mod, "irls_solve", no_solve)
-    with pytest.raises(DataValidationError, match="seed must be nonnegative"):
-        fit_pipeline(load_csv(two_lines_path), k=2, seed=-1)
-
-
 def test_fit_pipeline_single_class():
     from mixreg.model import Dataset
 
@@ -51,7 +27,7 @@ def test_fit_pipeline_single_class():
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
         np.array([1.0, 1.0, 2.0]),
     )
-    report, _ = fit_pipeline(ds, k=1, seed=0)
+    report, _ = fit_pipeline(ds, k=1)
     assert np.allclose(report.betas_hat[0], [1.0, 1.0], atol=1e-6)
 
 
@@ -63,7 +39,7 @@ def test_fit_pipeline_preprocessing_matches_manual(tone_like_path):
     # the first column only reparametrizes each class's line
     dataset = load_csv(tone_like_path)
     alpha, mu = 40.0, dataset.features[:, 0].mean()
-    report, _ = fit_pipeline(preprocess_center_scale(dataset, alpha, 0), k=2, seed=0)
+    report, _ = fit_pipeline(preprocess_center_scale(dataset, alpha, 0), k=2)
     slope, offset = report.betas_hat[:, 0], report.betas_hat[:, 1]
     mapped = np.column_stack([alpha * slope, offset - alpha * mu * slope])
     manual = refit_regression(dataset, report.labels).betas_hat
@@ -79,7 +55,7 @@ def test_certified_fit_takes_labels_from_the_field(monkeypatch, two_lines_path):
 
     monkeypatch.setattr(pipeline_mod, "kmeans", no_kmeans)
     dataset = load_csv(two_lines_path)
-    report, estimates = fit_pipeline(dataset, k=2, seed=0)
+    report, estimates = fit_pipeline(dataset, k=2)
     assert report.trace.stop_reason == "certified"
     assert report.inertia == 0.0
     perm, acc = match_labels(report.labels, dataset.labels, 2)

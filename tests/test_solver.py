@@ -253,7 +253,7 @@ def test_weighted_ls_step_fused_points_fallback():
     assert w.w.max() > 1e7
     L = _laplacian(w.w)
     rows = _rows(ds)
-    z, nu = _solve_reduced_kkt(ds.features, ds.responses, L, rows.gram)
+    z, nu = _solve_reduced_kkt(rows, L)
     z = _project_rows(z, rows)
     assert _stationarity_defect(L, z, nu, rows) > SUBPROBLEM_TOL
     _assert_matches_eqp(ds, w)
@@ -350,6 +350,34 @@ def test_weighted_ls_step_span_deficient_min_norm():
     with pytest.warns(NonUniqueSolutionWarning):
         Z = weighted_ls_step(ds, _uniform_weights(2))
     assert np.allclose(Z.z, np.array([[1.0, 0.0], [3.0, 0.0]]), atol=1e-12)
+
+
+def _near_flat_instance(seed, r):
+    """20 x 3 features ``5 U diag(1, 1, r) V^T``: they span, with the third
+    singular value ``r`` times the other two."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((20, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return Dataset(5.0 * U @ np.diag([1.0, 1.0, r]) @ V.T, rng.standard_normal(20))
+
+
+@pytest.mark.parametrize("r", [1e-7, 1e-8, 1e-10, 3e-12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_irls_solves_near_flat_features(seed, r):
+    # the reduced solve is bordered with the features' left singular
+    # vectors, so its Schur complement stays well conditioned however flat
+    # the features; bordered with the features themselves it broke down and
+    # the null-space solve failed its condition floor
+    ds = _near_flat_instance(seed, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z, trace = irls_solve(ds, SolverOptions(max_iter=20))
+    assert trace.stop_reason in ("step", "cap")
+    gaps = np.abs(np.einsum("ij,ij->i", ds.features, Z.z) - ds.responses)
+    scales = np.abs(ds.responses) + np.linalg.norm(ds.features, axis=1) * np.linalg.norm(
+        Z.z, axis=1
+    )
+    assert np.all(gaps <= 1e-12 * scales + 1e-12)
 
 
 def test_weighted_ls_step_extreme_conditioning_raises():
