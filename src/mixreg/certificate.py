@@ -120,8 +120,13 @@ def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
     that is exactly orthogonal to its class direction (the formulas divide
     by that projection).
     """
-    targets = _targets(dataset, model)
-    coef, ortho, orthogonal = _split_rows(dataset.features, targets)
+    nu, rows = _closed_form(dataset.features, _targets(dataset, model))
+    return Certificate(nu=nu, rows=rows, labels=dataset.labels)
+
+
+def _closed_form(features: np.ndarray, targets: np.ndarray):
+    """:func:`build_certificate`'s ``(nu, rows)`` on raw arrays, unchecked."""
+    coef, ortho, orthogonal = _split_rows(features, targets)
     if np.any(orthogonal):
         row = int(np.argmax(orthogonal))
         raise CertificateUndefinedError(
@@ -131,7 +136,7 @@ def build_certificate(dataset: Dataset, model: MixtureModel) -> Certificate:
         )
     nu = np.linalg.norm(targets, axis=1) / coef
     # the P_perp form: nu_i a_i - c_i cancels at small apertures
-    return Certificate(nu=nu, rows=nu[:, None] * ortho, labels=dataset.labels)
+    return nu, nu[:, None] * ortho
 
 
 def verify_certificate(
@@ -150,19 +155,25 @@ def verify_certificate(
     if cert.nu.shape != (dataset.m,) or cert.rows.shape != dataset.features.shape:
         raise DataValidationError("certificate size does not match dataset")
 
-    # sum_{j != i} xi_ij = rows[i] - mean of the class's rows
-    means = np.zeros((model.k, dataset.d))
-    np.add.at(means, dataset.labels, cert.rows)
-    means /= model.sizes[:, None]
-    defect = (
-        cert.nu[:, None] * dataset.features
-        - (cert.rows - means[dataset.labels])
-        - targets
-    )
-    scale = float(np.max(np.abs(cert.nu) * np.linalg.norm(dataset.features, axis=1)))
+    s1_residual, s1_scale, _ = _stationarity(dataset.features, targets, cert.nu, cert.rows,
+                                             dataset.labels, model.sizes)
     return CertificateVerdict(
-        s1_residual=float(np.max(np.linalg.norm(defect, axis=1))),
-        s1_scale=scale,
+        s1_residual=s1_residual,
+        s1_scale=s1_scale,
         gamma=cert.gamma,
         spans_ok=bool(np.all(_class_spans(dataset, model.k))),
     )
+
+
+def _stationarity(features, targets, nu, rows, labels, sizes):
+    """:func:`verify_certificate`'s stationarity defect and scale on raw arrays,
+    unchecked, and ``2 max_i ||rows_i - mean_p|| / n_p >= gamma`` from the
+    same deviations ``rows_i - mean_p = sum_{j != i} xi_ij``."""
+    means = np.zeros((sizes.size, features.shape[1]))
+    np.add.at(means, labels, rows)
+    means /= sizes[:, None]
+    deviation = rows - means[labels]
+    defect = nu[:, None] * features - deviation - targets
+    scale = float(np.max(np.abs(nu) * np.linalg.norm(features, axis=1)))
+    bound = 2.0 * float(np.max(np.linalg.norm(deviation, axis=1) / sizes[labels]))
+    return float(np.max(np.linalg.norm(defect, axis=1))), scale, bound

@@ -138,19 +138,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_files(*outputs) -> None:
-    """Write every output or none.
+@contextlib.contextmanager
+def _outputs(*targets):
+    """Write every output or none, each output's path checked before the
+    work.
 
-    Each output is ``(target, write)``, with ``write(path)`` writing the
-    file at ``path``; a ``None`` target is an output not asked for.  Each
-    file is written under a fresh name beside its target and renamed onto
-    the target once every file is written.  A failure before the renames
-    removes the fresh files and leaves every target as it was; an error
-    names the target, not the fresh name.
+    Entering reserves a fresh, empty file beside each target and yields
+    their paths in target order, ``None`` for a ``None`` target (an output
+    not asked for); the block does the work and writes them, and leaving it
+    renames each onto its target.  A target that is a directory, or whose
+    fresh file cannot be created, raises before the block runs; the error
+    names the target, not the fresh name.  Any failure removes the fresh
+    files and leaves every target as it was.
     """
     staged = []  # (fresh path, target)
     try:
-        for target, write in outputs:
+        for target in targets:
             if target is None:
                 continue
             if os.path.isdir(target):  # as opening it for writing reports it
@@ -162,7 +165,8 @@ def _write_files(*outputs) -> None:
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, target) from None
             staged.append((fresh, target))
-            write(fresh)
+        fresh_paths = iter(fresh for fresh, _ in staged)
+        yield [None if target is None else next(fresh_paths) for target in targets]
         for fresh, target in staged:
             os.replace(fresh, target)
     except BaseException:
@@ -187,23 +191,25 @@ def _cmd_gen(args) -> int:
         for name, default in _GEN_FLAGS[args.sim].items()
     }
     gen, config = (gen_sim1, Sim1Config) if args.sim == 1 else (gen_sim2, Sim2Config)
-    dataset, model = gen(config(d=args.d, seed=args.seed, **values))
-    _write_files(
-        (args.output, lambda path: save_csv(dataset, path)),
-        (args.betas_out, lambda path: save_betas(model, path)),
-    )
+    cfg = config(d=args.d, seed=args.seed, **values)
+    with _outputs(args.output, args.betas_out) as (data_path, betas_path):
+        dataset, model = gen(cfg)
+        save_csv(dataset, data_path)
+        if betas_path is not None:
+            save_betas(model, betas_path)
     print(f"wrote {dataset.m} rows (d={dataset.d}) to {args.output}")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
     dataset = load_csv(args.data)
-    estimates, trace = irls_solve(dataset, _solver_options(args))
+    opts = _solver_options(args)
     names = [f"z_{i + 1}" for i in range(dataset.d)]
-    _write_files(
-        (args.output, lambda path: _write_table(path, names, estimates.z)),
-        (args.trace_out, lambda path: write_json(trace.to_dict(), path)),
-    )
+    with _outputs(args.output, args.trace_out) as (z_path, trace_path):
+        estimates, trace = irls_solve(dataset, opts)
+        _write_table(z_path, names, estimates.z)
+        if trace_path is not None:
+            write_json(trace.to_dict(), trace_path)
     print(
         f"solved m={dataset.m} d={dataset.d}: iterations={trace.iterations} "
         f"converged={trace.converged} stop_reason={trace.stop_reason} "
@@ -229,29 +235,30 @@ def _cmd_certify(args) -> int:
             f"{args.data} has {dataset.d} feature columns"
         )
     model = MixtureModel(betas, dataset.class_sizes())
-    conditions = check_conditions(dataset, model)
-    payload: dict = {"conditions": conditions.to_dict()}
-    try:
-        cert = build_certificate(dataset, model)
-        verdict = verify_certificate(cert, dataset, model)
-        payload["certificate"] = verdict.to_dict()
-        code = EXIT_OK
-    except CertificateUndefinedError as exc:
-        payload["certificate"] = {
-            "defined": False,
-            "error": str(exc),
-            "row_index": exc.row_index,
-            "certifies": False,
-        }
-        code = EXIT_NUMERIC
-    if args.output:
-        _write_files((args.output, lambda path: write_json(payload, path)))
-        if code == EXIT_OK:
-            print(f"certifies: {payload['certificate']['certifies']}")
-    else:  # stdout carries one JSON document, which holds the verdict
+    with _outputs(args.output) as (verdict_path,):
+        conditions = check_conditions(dataset, model)
+        payload: dict = {"conditions": conditions.to_dict()}
+        try:
+            cert = build_certificate(dataset, model)
+            verdict = verify_certificate(cert, dataset, model)
+            payload["certificate"] = verdict.to_dict()
+            code = EXIT_OK
+        except CertificateUndefinedError as exc:
+            payload["certificate"] = {
+                "defined": False,
+                "error": str(exc),
+                "row_index": exc.row_index,
+                "certifies": False,
+            }
+            code = EXIT_NUMERIC
+        if verdict_path is not None:
+            write_json(payload, verdict_path)
+    if not args.output:  # stdout carries one JSON document, which holds the verdict
         import json
 
         print(json.dumps(payload, indent=2))
+    elif code == EXIT_OK:
+        print(f"certifies: {payload['certificate']['certifies']}")
     if code != EXIT_OK:
         print("certificate undefined", file=sys.stderr)
     return code
@@ -266,15 +273,16 @@ def _cmd_fit(args) -> int:
                 f"--center-column {column} is not a feature column (1..{dataset.d})"
             )
         dataset = preprocess_center_scale(dataset, args.center_alpha, column - 1)
-    report, estimates = fit_pipeline(dataset, args.k, _solver_options(args))
+    opts = _solver_options(args)
     names = [f"z_{i + 1}" for i in range(dataset.d)]
-    _write_files(
-        (args.output, lambda path: write_json(report.to_dict(), path)),
-        (args.labels_out,
-         lambda path: _write_table(path, [], np.empty((dataset.m, 0)), report.labels)),
-        (args.estimates_out,
-         lambda path: _write_table(path, names, estimates.z, report.labels)),
-    )
+    targets = (args.output, args.labels_out, args.estimates_out)
+    with _outputs(*targets) as (report_path, labels_path, estimates_path):
+        report, estimates = fit_pipeline(dataset, args.k, opts)
+        write_json(report.to_dict(), report_path)
+        if labels_path is not None:
+            _write_table(labels_path, [], np.empty((dataset.m, 0)), report.labels)
+        if estimates_path is not None:
+            _write_table(estimates_path, names, estimates.z, report.labels)
     print(
         f"fit k={args.k}: iterations={report.trace.iterations} "
         f"stop_reason={report.trace.stop_reason} "
@@ -292,13 +300,13 @@ def _cmd_phase(args) -> int:
         base_seed=args.seed,
         solver=_solver_options(args),
     )
-    grid = run_phase(cfg, workers=args.workers)
     prefix = args.output
-    _write_files(
-        (f"{prefix}.csv", lambda path: write_grid_csv(grid, path)),
-        (f"{prefix}.pgm", lambda path: write_grid_pgm(grid, path)),
-        (f"{prefix}.json", lambda path: write_json(grid.to_dict(), path)),
-    )
+    targets = (f"{prefix}.csv", f"{prefix}.pgm", f"{prefix}.json")
+    with _outputs(*targets) as (csv_path, pgm_path, json_path):
+        grid = run_phase(cfg, workers=args.workers)
+        write_grid_csv(grid, csv_path)
+        write_grid_pgm(grid, pgm_path)
+        write_json(grid.to_dict(), json_path)
     print(
         f"phase {cfg.mode}: {len(cfg.d_values)} x {len(cfg.sweep_values)} cells, "
         f"mean fraction {float(grid.fractions.mean()):.3f}; "

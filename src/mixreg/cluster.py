@@ -148,30 +148,22 @@ def refit_regression(dataset: Dataset, labels) -> RefitResult:
     Rank-deficient classes get the minimum-norm solution and raise
     :class:`UnderdeterminedFitWarning`.
     """
-    refit, ranks = _refit(Dataset(dataset.features, dataset.responses, labels))
-    for p in np.flatnonzero(ranks < dataset.d):
-        warnings.warn(
-            f"class {p} is underdetermined (rank {ranks[p]} < {dataset.d}); "
-            "returning the minimum-norm coefficients",
-            UnderdeterminedFitWarning,
-        )
-    return refit
-
-
-def _refit(labeled: Dataset) -> tuple[RefitResult, np.ndarray]:
-    """:func:`refit_regression` of a labeled dataset without its warnings;
-    also returns each class's least-squares rank."""
+    labeled = Dataset(dataset.features, dataset.responses, labels)
     k = labeled.num_classes
     betas = np.zeros((k, labeled.d))
     residuals = np.zeros(k)
-    ranks = np.zeros(k, dtype=np.int64)
     for p in range(k):
         members = labeled.class_members(p)
-        A = labeled.features[members]
-        b = labeled.responses[members]
-        betas[p], _, ranks[p], _ = np.linalg.lstsq(A, b, rcond=None)
+        A, b = labeled.features[members], labeled.responses[members]
+        betas[p], _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
         residuals[p] = float(np.max(np.abs(A @ betas[p] - b)))
-    return RefitResult(betas_hat=betas, per_class_residual=residuals), ranks
+        if rank < labeled.d:
+            warnings.warn(
+                f"class {p} is underdetermined (rank {rank} < {labeled.d}); "
+                "returning the minimum-norm coefficients",
+                UnderdeterminedFitWarning,
+            )
+    return RefitResult(betas_hat=betas, per_class_residual=residuals)
 
 
 def match_labels(predicted, truth, k: int) -> tuple[tuple[int, ...], float]:

@@ -139,8 +139,12 @@ def _targets(dataset: Dataset, model: MixtureModel) -> np.ndarray:
             f"label counts {counts.tolist()} disagree with model sizes "
             f"{model.sizes.tolist()}"
         )
-    weighted = weighted_directions(model)
-    return ((dataset.m - model.sizes)[:, None] * weighted)[dataset.labels]
+    return _row_targets(model, dataset.labels)
+
+
+def _row_targets(model: MixtureModel, labels: np.ndarray) -> np.ndarray:
+    """:func:`_targets` on raw labels whose class counts are ``model.sizes``."""
+    return ((labels.size - model.sizes)[:, None] * weighted_directions(model))[labels]
 
 
 def _split_rows(A: np.ndarray, targets: np.ndarray):
@@ -158,17 +162,18 @@ def _split_rows(A: np.ndarray, targets: np.ndarray):
     return coef, ortho, orthogonal
 
 
-def _spans(A: np.ndarray, rtol: float = RANK_RTOL) -> bool:
-    """Whether the rows of ``A`` span the full space: numerical rank d, with
-    singular values below ``rtol`` times the largest counted as zero."""
-    svals = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(svals > rtol * svals[0])) == A.shape[1]
+def _full_rank(svals: np.ndarray, d: int, rtol: float = RANK_RTOL) -> bool:
+    """The span rule: singular values ``svals`` of a d-column matrix give
+    rank d, with values below ``rtol`` times the largest counted as zero."""
+    return int(np.sum(svals > rtol * svals[0])) == d
 
 
 def _class_spans(dataset: Dataset, k: int) -> np.ndarray:
-    """:func:`_spans` of each class's rows; class sizes differ, so one SVD
-    per class."""
-    return np.array([_spans(dataset.features[dataset.labels == p]) for p in range(k)])
+    """Whether each class's rows span the full space (:func:`_full_rank`);
+    class sizes differ, so one SVD per class."""
+    svals = (np.linalg.svd(dataset.features[dataset.labels == p], compute_uv=False)
+             for p in range(k))
+    return np.array([_full_rank(s, dataset.d) for s in svals])
 
 
 def check_conditions(dataset: Dataset, model: MixtureModel) -> ConditionReport:

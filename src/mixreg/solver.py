@@ -88,14 +88,14 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import certificate
-from .cluster import _refit, kmeans
+from .cluster import kmeans
 from .errors import (
     DataValidationError,
     MixregError,
     NonUniqueSolutionWarning,
     NumericalError,
 )
-from .geometry import _spans, orthonormal_complement_bases
+from .geometry import _full_rank, _row_targets, orthonormal_complement_bases
 from .model import (
     Dataset,
     EstimateField,
@@ -314,11 +314,8 @@ class _Rows(NamedTuple):
 
 def _rows(dataset: Dataset) -> _Rows:
     features = dataset.features
-    span_full = _spans(features, SPAN_RTOL)
-    border = unborder = None
-    if span_full:
-        border, svals, vt = np.linalg.svd(features, full_matrices=False)
-        unborder = vt.T / svals
+    border, svals, vt = np.linalg.svd(features, full_matrices=False)
+    span_full = _full_rank(svals, dataset.d, SPAN_RTOL)
     return _Rows(
         features,
         dataset.responses,
@@ -326,8 +323,8 @@ def _rows(dataset: Dataset) -> _Rows:
         np.linalg.norm(features, axis=1),
         features @ features.T,
         span_full,
-        border,
-        unborder,
+        border if span_full else None,
+        vt.T / svals if span_full else None,
     )
 
 
@@ -519,23 +516,42 @@ def _feasibility_gap(rows: _Rows, z) -> float | None:
 def _certified_field(rows: _Rows, z: np.ndarray, k: int) -> tuple[np.ndarray, float] | None:
     """``beta_hat[labels]`` from k-means on ``z`` and one refit per group,
     made without warnings, with its largest constraint gap, if that field
-    is feasible and the closed-form certificate (span check included)
-    proves it the program's unique minimizer; ``None`` otherwise."""
+    is feasible and ``verify_certificate(build_certificate(...)).certifies``
+    for its labeling; ``None`` otherwise.  One pass on raw arrays checks each
+    group's span on its refit's singular values, then feasibility,
+    stationarity and ``gamma < 1``; pair differences are formed only when
+    :func:`~mixreg.certificate._stationarity`'s bound on gamma is not
+    below ``1 - GAMMA_BORDERLINE``."""
+    features, d = rows.features, rows.features.shape[1]
     try:
         labels = kmeans(z, k, restarts=1, seed=0).labels
-        labeled = Dataset(rows.features, rows.responses, labels)
-        betas = _refit(labeled)[0].betas_hat
+        sizes = np.bincount(labels)
+        if not sizes.all():  # a group below the last is empty
+            return None
+        betas = np.empty((sizes.size, d))
+        for p in range(sizes.size):
+            members = labels == p
+            A, b = features[members], rows.responses[members]
+            betas[p], _, _, svals = np.linalg.lstsq(A, b, rcond=None)
+            if not _full_rank(svals, d):  # the certificate's span condition
+                return None
         snapped = betas[labels]
         gap = _feasibility_gap(rows, snapped)
         if gap is None:
             return None
-        model = MixtureModel(betas, labeled.class_sizes())
-        verdict = certificate.verify_certificate(
-            certificate.build_certificate(labeled, model), labeled, model
+        model = MixtureModel(betas, sizes)
+        targets = _row_targets(model, labels)
+        nu, cert_rows = certificate._closed_form(features, targets)
+        s1_residual, s1_scale, bound = certificate._stationarity(
+            features, targets, nu, cert_rows, labels, sizes
         )
     except MixregError:
         return None
-    return (snapped, gap) if verdict.certifies else None
+    if not s1_residual <= certificate.DEFAULT_S1_TOL * s1_scale:
+        return None
+    bounded = bound < 1.0 - certificate.GAMMA_BORDERLINE  # gamma < 1 whatever the rounding
+    strict = bounded or certificate.Certificate(nu, cert_rows, labels).gamma < 1.0
+    return (snapped, gap) if strict else None
 
 
 def _squarem_point(x: np.ndarray, f1: np.ndarray, f2: np.ndarray, rows: _Rows):

@@ -10,6 +10,7 @@ from mixreg.certificate import (
     DEFAULT_S1_TOL,
     GAMMA_BORDERLINE,
     Certificate,
+    _stationarity,
     build_certificate,
     verify_certificate,
 )
@@ -18,7 +19,7 @@ from mixreg.errors import (
     DataValidationError,
     DegenerateModelError,
 )
-from mixreg.geometry import _split_rows, check_conditions, weighted_directions
+from mixreg.geometry import _split_rows, _targets, check_conditions, weighted_directions
 from mixreg.model import Dataset, MixtureModel, candidate_solution, recovery_error
 from mixreg.solver import irls_solve
 from mixreg.synth import (
@@ -380,3 +381,40 @@ def test_verdicts_invariant_under_row_rescaling(case):
     scaled_flags, scaled_figures = _verdicts(scaled, model)
     assert scaled_flags == flags
     np.testing.assert_allclose(scaled_figures, figures, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def _bounded_instances(draw):
+    """A labeled instance: Gaussian features with random labels, or a
+    ``gen_sim1`` (alpha up to 0.6) or ``gen_sim2`` (tau up to its maximum)
+    instance with d up to 15."""
+    kind = draw(st.sampled_from(["gaussian", "aperture", "imbalance"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "gaussian":
+        d, sizes, _ = draw(_labeled_instances())
+        rng = np.random.default_rng(seed)
+        betas = rng.standard_normal((len(sizes), d))
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        feats = rng.standard_normal((labels.size, d))
+        dataset = Dataset(feats, np.einsum("ij,ij->i", feats, betas[labels]), labels)
+        return dataset, MixtureModel(betas, np.array(sizes))
+    d = draw(st.integers(3, 15))
+    if kind == "aperture":
+        alpha = draw(st.floats(0.0, 0.6))
+        return gen_sim1(Sim1Config(k=3, d=d, n_per_class=16, alpha=alpha, seed=seed))
+    return gen_sim2(Sim2Config(d=d, tau=draw(st.floats(0.0, SIM2_TAU_MAX)), seed=seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bounded_instances())
+def test_gamma_never_exceeds_the_deviation_bound(instance):
+    # ||xi_ij|| = ||(rows_i - mean_p) - (rows_j - mean_p)|| / n_p, so
+    # gamma <= 2 max_i ||rows_i - mean_p|| / n_p; a mirrored class meets it
+    # with equality, which rounding may miss by a few ulps
+    dataset, model = instance
+    cert = build_certificate(dataset, model)
+    _, _, bound = _stationarity(
+        dataset.features, _targets(dataset, model), cert.nu, cert.rows,
+        dataset.labels, model.sizes,
+    )
+    assert cert.gamma <= bound * (1.0 + 1e-12)

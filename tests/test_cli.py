@@ -135,6 +135,32 @@ def test_a_failed_command_writes_no_file(tmp_path, capsys, two_lines_path):
     assert list((tmp_path / "p.json").iterdir()) == []
 
 
+def test_unwritable_outputs_are_refused_before_the_work(
+    tmp_path, capsys, monkeypatch, two_lines_path
+):
+    # an output in a missing directory exits 2 before any trial or solve
+    # runs, and no file is left behind
+    import mixreg.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_phase", lambda *a, **kw: calls.append("phase"))
+    monkeypatch.setattr(cli_mod, "fit_pipeline", lambda *a, **kw: calls.append("fit"))
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        ["phase", "--mode", "imbalance", "--d", "10", "15", "--values", "0.03", "0.06",
+         "--trials", "10", "-o", "missing/p"],
+        ["fit", str(two_lines_path), "--k", "2", "-o", "missing/f.json"],
+        ["fit", str(two_lines_path), "--k", "2", "-o", "f.json",
+         "--estimates-out", "missing/e.csv"],
+    ]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("file error: [Errno 2]") and "missing/" in err, err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_refuses_flags_of_the_other_ensemble(tmp_path, capsys):
     out = tmp_path / "x.csv"
     misuses = [

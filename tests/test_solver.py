@@ -554,22 +554,117 @@ def test_irls_exit_adds_no_warnings():
 
 
 def test_irls_certified_exit_spans_each_group_once(monkeypatch):
-    # the certificate's span check is the exit's only one: a solve certified
-    # at its first solve makes one span SVD per group
-    import mixreg.geometry as geometry_mod
+    # the exit decides each group's span from the singular values its refit
+    # already has: a solve certified at its first solve makes one span
+    # decision for the features and one per group, and its only SVD is the
+    # features' thin SVD
+    import mixreg.solver as solver_mod
 
-    spanned = []
-    spans = geometry_mod._spans
+    decided, svds = [], []
+    full_rank, svd = solver_mod._full_rank, np.linalg.svd
 
-    def counted(A, *args, **kwargs):
-        spanned.append(A.shape)
-        return spans(A, *args, **kwargs)
+    def counted_rank(svals, *args, **kwargs):
+        decided.append(len(svals))
+        return full_rank(svals, *args, **kwargs)
 
-    monkeypatch.setattr(geometry_mod, "_spans", counted)
+    def counted_svd(A, *args, **kwargs):
+        svds.append(kwargs)
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_full_rank", counted_rank)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     dataset, _ = gen_sim1(Sim1Config(k=3, d=5, n_per_class=16, alpha=0.1, seed=7))
     _, trace = irls_solve(dataset, k=3)
     assert trace.stop_reason == "certified" and trace.iterations == 1
-    assert len(spanned) == 3, spanned
+    assert decided == [5, 5, 5, 5], decided
+    assert svds == [{"full_matrices": False}], svds
+
+
+@st.composite
+def _exit_instances(draw):
+    """A ``gen_sim1`` instance (d 3-15, so rows d >= 10 whose classes do not
+    span, alpha up to 0.6) or a ``gen_sim2`` one (tau = 0 or above)."""
+    from mixreg.synth import SIM2_TAU_MAX, Sim2Config, gen_sim2
+
+    d = draw(st.integers(3, 15))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        alpha = draw(st.floats(0.0, 0.6))
+        return gen_sim1(Sim1Config(k=3, d=d, n_per_class=16, alpha=alpha, seed=seed))[0]
+    tau = draw(st.one_of(st.just(0.0), st.floats(0.0, SIM2_TAU_MAX)))
+    return gen_sim2(Sim2Config(d=d, tau=tau, seed=seed))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exit_instances())
+def test_certified_exit_agrees_with_the_public_verdict(dataset):
+    # the exit's one pass on raw arrays certifies exactly when the public,
+    # validating functions certify the same k-means labeling and refit, and
+    # the refit field is feasible
+    from mixreg.certificate import build_certificate, verify_certificate
+    from mixreg.cluster import kmeans, refit_regression
+    from mixreg.errors import MixregError
+    from mixreg.model import MixtureModel
+    from mixreg.solver import _certified_field, _feasibility_gap
+
+    rows = _rows(dataset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        z = irls_solve(dataset, SolverOptions(max_iter=1))[0].z
+        try:
+            labels = kmeans(z, 3, restarts=1, seed=0).labels
+            labeled = Dataset(dataset.features, dataset.responses, labels)
+            betas = refit_regression(labeled, labels).betas_hat
+            model = MixtureModel(betas, labeled.class_sizes())
+            cert = build_certificate(labeled, model)
+            certifies = verify_certificate(cert, labeled, model).certifies
+        except MixregError:
+            certifies = False
+    result = _certified_field(rows, z, 3)
+    if certifies:
+        certifies = _feasibility_gap(rows, betas[labels]) is not None
+    assert (result is not None) == certifies
+    if result is not None:
+        assert np.array_equal(result[0], betas[labels])
+
+
+def test_certified_exit_falls_back_to_exact_gamma(monkeypatch):
+    # class 0's complement parts form an equilateral triangle (d = 3,
+    # n_p = 3) of circumradius 3 s: gamma = s sqrt(3) = 0.953 is below one
+    # but the deviation bound 2 s = 1.1 is not, so the exit must form the
+    # pair differences, and it certifies
+    import mixreg.certificate as certificate_mod
+    from mixreg.certificate import _stationarity, build_certificate, verify_certificate
+    from mixreg.geometry import _targets
+    from mixreg.model import MixtureModel
+    from mixreg.solver import _certified_field
+
+    angles = 2.0 * np.pi * np.arange(3) / 3.0
+    u = np.stack([np.zeros(3), np.cos(angles), np.sin(angles)], axis=1)
+    e1 = np.array([1.0, 0.0, 0.0])
+    features = np.vstack([e1 + 0.55 * u, -e1 + 0.1 * u])
+    labels = np.repeat([0, 1], 3)
+    betas = np.array([[1.0, 0.3, -0.2], [-1.0, 0.3, -0.2]])
+    dataset = Dataset(features, np.einsum("ij,ij->i", features, betas[labels]), labels)
+    model = MixtureModel(betas, np.array([3, 3]))
+    cert = build_certificate(dataset, model)
+    verdict = verify_certificate(cert, dataset, model)
+    bound = _stationarity(
+        features, _targets(dataset, model), cert.nu, cert.rows, labels, model.sizes
+    )[2]
+    assert 0.87 < verdict.gamma < 1.0 <= bound and verdict.certifies
+
+    exact = []
+    gamma = certificate_mod.Certificate.gamma
+
+    def counted(self):
+        exact.append(self)
+        return gamma.fget(self)
+
+    monkeypatch.setattr(certificate_mod.Certificate, "gamma", property(counted))
+    result = _certified_field(_rows(dataset), betas[labels], 2)
+    assert result is not None and len(exact) == 1
+    np.testing.assert_allclose(result[0], betas[labels], rtol=0.0, atol=1e-14)
 
 
 @st.composite
