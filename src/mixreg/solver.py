@@ -79,13 +79,16 @@ certificate proves it the program's unique minimizer.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from . import certificate
 from .cluster import kmeans
@@ -102,6 +105,25 @@ from .model import (
     MixtureModel,
     _as_matrix,
 )
+
+
+def _load_lapack():
+    # importing scipy.linalg costs a mixreg process 0.2-0.3 s (its array-API shim loads
+    # numpy.f2py and numpy.testing); load the wrappers scipy.linalg.lapack re-exports directly
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        for root in scipy.__path__:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+lapack = _load_lapack()
 
 __all__ = [
     "SolverOptions",

@@ -22,13 +22,27 @@ def test_every_all_name_resolves():
 
 def test_import_loads_no_heavy_scipy_subpackages():
     # every benchmark workload pays for the package import in its setup time;
-    # scipy.linalg is the only scipy subpackage the library needs
+    # the solver loads scipy's compiled LAPACK wrappers without scipy.linalg,
+    # whose import pulls in numpy.f2py and numpy.testing
     src = str(Path(mixreg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    heavy = ("scipy.spatial", "scipy.optimize", "scipy.sparse")
+    heavy = (
+        "scipy.linalg",
+        "scipy.spatial",
+        "scipy.optimize",
+        "scipy.sparse",
+        "numpy.f2py",
+        "numpy.testing",
+    )
     code = (
-        "import sys, mixreg; "
+        "import sys\n"
+        "from mixreg import irls_solve\n"
+        "from mixreg.synth import Sim1Config, gen_sim1\n"
+        "dataset, _ = gen_sim1(Sim1Config(3, 5, 16, 0.1, 1))\n"
+        "_, trace = irls_solve(dataset, k=3)\n"
+        "assert trace.stop_reason == 'certified', trace.stop_reason\n"
+        "irls_solve(dataset)\n"
         f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
     )
     run = subprocess.run(

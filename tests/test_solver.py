@@ -1,3 +1,4 @@
+import importlib.machinery
 import warnings
 
 import numpy as np
@@ -834,3 +835,30 @@ def test_irls_accelerated_solve_stops_where_plain_caps():
     assert trace.stop_reason == "step"
     assert trace.extrapolations >= 1
     assert recovery_error(Z, _plain_public_irls(ds, 600)) <= 1e-6
+
+
+def test_solver_lapack_is_scipy_linalg_lapack():
+    # the solver loads the compiled wrappers that scipy.linalg.lapack
+    # re-exports: the very same function objects
+    import scipy.linalg.lapack
+
+    import mixreg.solver as solver_mod
+
+    for name in ("dpotrf", "dpotri", "dpocon", "dpotrs"):
+        assert getattr(solver_mod.lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, sim1_instance):
+    import scipy.linalg.lapack
+
+    import mixreg.solver as solver_mod
+
+    dataset, _ = sim1_instance
+    expected, _ = irls_solve(dataset)
+    # no extension suffix matches, so no _flapack file is found
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    fallback = solver_mod._load_lapack()
+    assert fallback is scipy.linalg.lapack
+    monkeypatch.setattr(solver_mod, "lapack", fallback)
+    estimate, _ = irls_solve(dataset)
+    assert np.array_equal(estimate.z, expected.z)
